@@ -169,36 +169,3 @@ __all__ = [
     "InfeasibleProblemError",
 ]
 
-
-# --- deprecated top-level aliases -------------------------------------------
-#
-# Kept importable through ``__getattr__`` with a once-per-name
-# DeprecationWarning; scheduled for removal two PRs after PR 10 (see
-# ``docs/api.md`` for the stability policy).
-_DEPRECATED_ALIASES = {
-    "cache_key": ("repro.cache", "cache_key"),
-    "compute_consensus_payload": ("repro.cache", "compute_consensus_payload"),
-}
-_warned_aliases: set = set()
-
-
-def __getattr__(name: str):
-    """Resolve deprecated top-level aliases with a one-time warning."""
-    target = _DEPRECATED_ALIASES.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attribute = target
-    if name not in _warned_aliases:
-        _warned_aliases.add(name)
-        import warnings
-
-        warnings.warn(
-            f"'repro.{name}' is deprecated and will be removed two PRs after "
-            f"PR 10; import it from '{module_name}' (or use the 'repro.api' "
-            "facade) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)

@@ -61,15 +61,27 @@ Responses always carry ``Content-Length`` and ``Connection: close``.  All
 timeouts are taken through an injectable
 :class:`~repro.cache.resilience.AsyncClock`, so the adversarial-client tests
 never sleep on real time.
+
+Hit fast path: the SHA-256 of every successful inline ``/aggregate`` or
+``/fairness`` body is remembered (a bounded LRU of ``_ALIAS_CAPACITY``
+entries) with the cache digest it produced.  A byte-identical repeat is
+answered on the event loop from the memory tier
+(:meth:`~repro.cache.store.ResultCache.get_memory`) without decoding,
+building, or fingerprinting the body.  The digest is a pure function of the
+body bytes, so an alias never goes stale; the cache still decides hit or
+miss, and any fast-path miss falls through to the ordinary path.  Bodies
+naming CSV paths are never aliased — the files can change.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
+import hashlib
 import json
 import math
 import signal
+from collections import OrderedDict
 from collections.abc import Callable
 
 from repro.cache.resilience import (
@@ -98,6 +110,13 @@ __all__ = ["ConsensusHTTPServer", "run_server"]
 #: builtin from 3.11 on; catching both keeps the matrix green.
 _TIMEOUT_ERRORS = (asyncio.TimeoutError, TimeoutError)
 
+#: Most request-body aliases kept for the hit fast path (each is a 32-byte
+#: body hash and a 64-character digest).
+_ALIAS_CAPACITY = 1024
+
+#: Endpoints whose inline bodies are aliased to their cache digest.
+_ALIASED_PATHS = frozenset({"/aggregate", "/fairness"})
+
 
 class _BadRequest(Exception):
     """Client error carrying the message served as a 400 response."""
@@ -110,6 +129,20 @@ class _PhaseTimeout(Exception):
         """Record which read phase (request line / headers / body) timed out."""
         super().__init__(phase)
         self.phase = phase
+
+
+def _fairness_view(response: dict) -> dict:
+    """Project an ``/aggregate`` response to the ``/fairness`` view."""
+    result = response["result"]
+    return {
+        "key": response["key"],
+        "cached": response["cached"],
+        "method": result["method"],
+        "method_label": result["method_label"],
+        "pd_loss": result["pd_loss"],
+        "parity": result["parity"],
+        "fairness": result["fairness"],
+    }
 
 
 def _parse_inputs(body: dict):
@@ -195,6 +228,8 @@ class ConsensusHTTPServer:
         self._draining = False
         self._connections: set[asyncio.Task] = set()
         self._streaming: StreamingConsensusService | None = None
+        self._aliases: OrderedDict[bytes, str] = OrderedDict()
+        self._alias_hits = 0
         self._server: asyncio.AbstractServer | None = None
         self._stop_event: asyncio.Event | None = None
         self.address: tuple[str, int] | None = None
@@ -281,7 +316,7 @@ class ConsensusHTTPServer:
                 status, payload, extra_headers = await self._respond(reader)
             except Exception as exc:  # noqa: BLE001 - a handler crash must not kill the server
                 status, payload = 500, {"error": f"internal error: {exc}"}
-            body = json.dumps(to_jsonable(payload)).encode()
+            body = json.dumps(payload, default=to_jsonable).encode()
             header_lines = [
                 f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
                 "Content-Type: application/json",
@@ -388,6 +423,15 @@ class ConsensusHTTPServer:
             return 405, {"error": f"{path} expects {expected_verb}, got {verb}"}, {}
 
         self._endpoint_counts[path] = self._endpoint_counts.get(path, 0) + 1
+        body_hash = None
+        if path in _ALIASED_PATHS:
+            body_hash = hashlib.sha256(raw_body).digest()
+            digest = self._aliases.get(body_hash)
+            if digest is not None:
+                self._aliases.move_to_end(body_hash)
+                return await self._dispatch_guarded(
+                    functools.partial(self._answer_repeat, path, digest, handler, raw_body)
+                )
         try:
             body = json.loads(raw_body) if raw_body else {}
             if not isinstance(body, dict):
@@ -397,14 +441,44 @@ class ConsensusHTTPServer:
         except _BadRequest as exc:
             return 400, {"error": str(exc)}, {}
 
-        if sheddable:
-            return await self._dispatch_guarded(handler, body)
-        return await self._dispatch(handler, body)
+        call = functools.partial(handler, self, body)
+        if not sheddable:
+            return await self._dispatch(call)
+        response = await self._dispatch_guarded(call)
+        if body_hash is not None and response[0] == 200:
+            self._remember_alias(body_hash, body, response[1]["key"])
+        return response
 
-    async def _dispatch(self, handler: Callable, body: dict) -> tuple[int, dict, dict]:
-        """Run one handler, mapping domain errors to 400."""
+    def _remember_alias(self, body_hash: bytes, body: dict, digest: str) -> None:
+        """Alias an inline query body to its cache digest (bounded LRU)."""
+        if "rankings_csv" in body or "candidates_csv" in body:
+            return
+        self._aliases[body_hash] = digest
+        self._aliases.move_to_end(body_hash)
+        while len(self._aliases) > _ALIAS_CAPACITY:
+            self._aliases.popitem(last=False)
+
+    async def _answer_repeat(
+        self, path: str, digest: str, handler: Callable, raw_body: bytes
+    ) -> dict:
+        """Serve an aliased body from the memory tier, else the ordinary path.
+
+        The hit runs on the event loop on purpose: it costs microseconds, and
+        an executor submit arriving right behind the previous task can spawn
+        an extra worker thread (with its own malloc arena), raising peak
+        memory.
+        """
+        payload = self.service.cache.get_memory(digest)
+        if payload is None:
+            return await handler(self, json.loads(raw_body))
+        self._alias_hits += 1
+        response = {"key": digest, "cached": True, "result": payload}
+        return _fairness_view(response) if path == "/fairness" else response
+
+    async def _dispatch(self, call: Callable) -> tuple[int, dict, dict]:
+        """Run one handler call, mapping domain errors to 400."""
         try:
-            result = handler(self, body)
+            result = call()
             if asyncio.iscoroutine(result):
                 result = await result
         except (_BadRequest, ReproError, ValueError) as exc:
@@ -427,9 +501,7 @@ class ConsensusHTTPServer:
         backlog = self._admission.queued + 1
         return max(1, math.ceil(backlog * p90_seconds))
 
-    async def _dispatch_guarded(
-        self, handler: Callable, body: dict
-    ) -> tuple[int, dict, dict]:
+    async def _dispatch_guarded(self, call: Callable) -> tuple[int, dict, dict]:
         """Admission-controlled dispatch for the compute endpoints."""
         if self._draining:
             return (
@@ -444,7 +516,7 @@ class ConsensusHTTPServer:
                 {"Retry-After": str(self._retry_after_seconds())},
             )
         try:
-            return await self._dispatch(handler, body)
+            return await self._dispatch(call)
         finally:
             self._admission.release()
 
@@ -467,17 +539,7 @@ class ConsensusHTTPServer:
 
     async def _handle_fairness(self, body: dict) -> dict:
         """``POST /fairness``: fairness projection of the same cache entry."""
-        response = await self._run_query(body)
-        result = response["result"]
-        return {
-            "key": response["key"],
-            "cached": response["cached"],
-            "method": result["method"],
-            "method_label": result["method_label"],
-            "pd_loss": result["pd_loss"],
-            "parity": result["parity"],
-            "fairness": result["fairness"],
-        }
+        return _fairness_view(await self._run_query(body))
 
     def _streaming_service(self, body: dict) -> StreamingConsensusService:
         """Return the streaming service, initialising it on the first /update.
@@ -593,6 +655,8 @@ class ConsensusHTTPServer:
                 "drain_cancelled": self._drain_cancelled,
                 "draining": self._draining,
                 "latency": self._latency.snapshot(),
+                "alias_entries": len(self._aliases),
+                "alias_hits": self._alias_hits,
             },
             "methods": describe_fair_methods(),
             "kernel_backend": describe_backends(),

@@ -555,6 +555,36 @@ class ResultCache:
             self._absorb_disk_outcome(evidence=deleted)
         self._expirations += 1
 
+    def _hit_memory(self, digest: str, entry: _MemoryEntry) -> dict:
+        """Count a memory-tier hit on ``entry`` and return its payload."""
+        entry.frequency += 1
+        self._policy.on_hit(digest, entry.compute_seconds, entry.frequency)
+        self._hits += 1
+        self._memory_hits += 1
+        self._saved_seconds += entry.compute_seconds
+        return entry.payload
+
+    def get_memory(self, digest: str) -> dict | None:
+        """Return a live memory-tier payload without ever waiting, else ``None``.
+
+        A hit is counted exactly as :meth:`get` counts a memory hit.  Anything
+        else — no entry, an entry aged past the TTL, or the lock held by
+        another thread — returns ``None`` and counts nothing, so a caller that
+        falls through to :meth:`get` records the single miss (and the expiry)
+        there.  The lock is only tried, never waited on: :meth:`put` holds it
+        across disk writes and retries, and the HTTP front-end calls this from
+        its event loop.
+        """
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            entry = self._memory.get(digest)
+            if entry is None or self._expired(entry, self._clock()):
+                return None
+            return self._hit_memory(digest, entry)
+        finally:
+            self._lock.release()
+
     def get(self, digest: str) -> dict | None:
         """Return the cached payload for ``digest``, or ``None`` on a miss.
 
@@ -571,12 +601,7 @@ class ResultCache:
                 if self._expired(entry, now):
                     self._drop_expired(digest, from_memory=True)
                 else:
-                    entry.frequency += 1
-                    self._policy.on_hit(digest, entry.compute_seconds, entry.frequency)
-                    self._hits += 1
-                    self._memory_hits += 1
-                    self._saved_seconds += entry.compute_seconds
-                    return entry.payload
+                    return self._hit_memory(digest, entry)
             elif self._disk is not None and self._breaker.allow():
                 blob = self._disk.load(digest)
                 self._absorb_disk_outcome(evidence=blob is not None)

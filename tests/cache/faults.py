@@ -18,7 +18,8 @@ Three families of tools, all sleep-free:
 
 Plus :class:`GateService`, a service stand-in whose ``aggregate`` blocks on a
 :class:`threading.Event` (it runs on the server's executor), giving the
-shed/drain tests a deterministic way to hold a request in flight.
+shed/drain tests a deterministic way to hold a request in flight, and
+:func:`run_scenario`, which drives one scenario against a fresh server.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ import threading
 from collections import Counter, defaultdict, deque
 from pathlib import Path
 
+from repro.cache.http import ConsensusHTTPServer
+from repro.cache.service import ConsensusCacheService
 from repro.cache.store import LocalFilesystem
 
 
@@ -267,6 +270,28 @@ class GateService:
 # ----------------------------------------------------------------------
 # raw-socket clients
 # ----------------------------------------------------------------------
+def run_scenario(scenario, service=None, clock=None, **server_kwargs):
+    """Run ``scenario(server, host, port)``; return (result, server) post-drain."""
+
+    async def main():
+        server = ConsensusHTTPServer(
+            service if service is not None else ConsensusCacheService(),
+            port=0,
+            clock=clock,
+            **server_kwargs,
+        )
+        host, port = await server.start()
+        serve_task = asyncio.create_task(server.serve())
+        try:
+            result = await scenario(server, host, port)
+        finally:
+            server.request_stop()
+            await serve_task
+        return result, server
+
+    return asyncio.run(main())
+
+
 async def read_http_response(reader: asyncio.StreamReader):
     """Read one ``Connection: close`` response; return (status, headers, body)."""
     raw = await reader.read()

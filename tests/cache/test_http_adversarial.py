@@ -13,15 +13,15 @@ import asyncio
 
 import pytest
 
-from repro.cache.http import ConsensusHTTPServer
 from repro.cache.resilience import ServerLimits
-from repro.cache.service import ConsensusCacheService, compute_consensus_payload
+from repro.cache.service import compute_consensus_payload
 from repro.io.serialization import candidate_table_to_dict, ranking_set_to_dict
 from tests.cache.faults import (
     GateService,
     VirtualClock,
     http_request,
     read_http_response,
+    run_scenario,
     send_raw,
     slowloris_connect,
     yield_until,
@@ -37,28 +37,6 @@ def query_body(tiny_table, tiny_rankings):
         "candidates": candidate_table_to_dict(tiny_table),
         "delta": DELTA,
     }
-
-
-def run_scenario(scenario, service=None, clock=None, **server_kwargs):
-    """Run ``scenario(server, host, port)``; return (result, server) post-drain."""
-
-    async def main():
-        server = ConsensusHTTPServer(
-            service if service is not None else ConsensusCacheService(),
-            port=0,
-            clock=clock,
-            **server_kwargs,
-        )
-        host, port = await server.start()
-        serve_task = asyncio.create_task(server.serve())
-        try:
-            result = await scenario(server, host, port)
-        finally:
-            server.request_stop()
-            await serve_task
-        return result, server
-
-    return asyncio.run(main())
 
 
 class TestSlowClients:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.cache.store import DiskTier, ResultCache
+from tests.cache.faults import ManualClock
 
 
 def payload(tag: int) -> dict:
@@ -193,3 +196,84 @@ class TestInvalidation:
         cache.put("a", payload(1))
         assert cache.invalidate(["a"]) == 1
         assert cache.get("a") is None
+
+
+class TestGetMemory:
+    def test_live_entry_counts_exactly_like_get(self):
+        via_get = ResultCache(memory_capacity=2, policy="cost-aware")
+        via_memory = ResultCache(memory_capacity=2, policy="cost-aware")
+        for cache in (via_get, via_memory):
+            cache.put("a", payload(1), compute_seconds=0.5)
+        assert via_get.get("a") == via_memory.get_memory("a") == payload(1)
+        assert via_get.stats() == via_memory.stats()
+        assert via_memory.stats().memory_hits == 1
+
+    def test_absent_or_expired_entry_counts_nothing(self, tmp_path):
+        clock = ManualClock()
+        cache = ResultCache(directory=tmp_path, ttl=10.0, clock=clock)
+        cache.put("a", payload(1))
+        assert cache.get_memory("missing") is None
+        clock.advance(11.0)
+        assert cache.get_memory("a") is None
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.expirations) == (0, 0, 0)
+        assert stats.memory_entries == 1  # the expiry is left to get()
+        assert cache.get("a") is None
+        stats = cache.stats()
+        assert (stats.misses, stats.expirations) == (1, 1)
+
+    def test_disk_only_entry_is_not_promoted(self, tmp_path):
+        cache = ResultCache(memory_capacity=1, directory=tmp_path)
+        cache.put("a", payload(1))
+        cache.put("b", payload(2))  # a now lives on disk only
+        assert cache.get_memory("a") is None
+        assert cache.stats().disk_hits == 0
+
+    def test_busy_lock_returns_none_without_waiting(self):
+        cache = ResultCache()
+        cache.put("a", payload(1))
+        results = []
+        with cache._lock:  # as put() holds it across a slow disk write
+            probe = threading.Thread(
+                target=lambda: results.append(cache.get_memory("a")), daemon=True
+            )
+            probe.start()
+            probe.join(timeout=1.0)
+            assert not probe.is_alive()  # answered while the lock was still held
+        assert results == [None]
+        assert cache.stats().hits == 0
+        assert cache.get_memory("a") == payload(1)
+
+    def test_concurrent_counters_are_not_lost(self):
+        cache = ResultCache(memory_capacity=4)
+        tallies = []
+        rounds = 400
+
+        def worker(seed: int) -> None:
+            hits = misses = 0
+            for index in range(rounds):
+                digest = str((seed * 7 + index) % 6)
+                if index % 3 == 0:
+                    cache.put(digest, payload(index))
+                elif index % 3 == 1:
+                    hits += cache.get_memory(digest) is not None
+                elif cache.get(digest) is None:
+                    misses += 1
+                else:
+                    hits += 1
+            tallies.append((hits, misses))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = cache.stats()
+        assert stats.hits == stats.memory_hits == sum(hits for hits, _ in tallies)
+        assert stats.misses == sum(misses for _, misses in tallies)

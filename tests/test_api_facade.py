@@ -1,11 +1,10 @@
-"""Tests for the stable :mod:`repro.api` facade, the deprecation shims, and
-the package-wide ``__all__`` audit."""
+"""Tests for the stable :mod:`repro.api` facade, the removed deprecation
+aliases, and the package-wide ``__all__`` audit."""
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
-import warnings
 
 import numpy as np
 import pytest
@@ -109,25 +108,10 @@ class TestBackendReexports:
 
 
 class TestDeprecatedAliases:
-    def test_alias_warns_once_then_stays_silent(self):
-        repro._warned_aliases.discard("cache_key")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = repro.cache_key
-            second = repro.cache_key
-        assert first is second
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.cache" in str(deprecations[0].message)
-
-    def test_alias_resolves_to_real_object(self):
-        from repro.cache import compute_consensus_payload
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert repro.compute_consensus_payload is compute_consensus_payload
+    @pytest.mark.parametrize("name", ["cache_key", "compute_consensus_payload"])
+    def test_removed_aliases_no_longer_resolve(self, name):
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
