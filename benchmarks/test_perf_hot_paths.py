@@ -8,8 +8,9 @@ pairwise kernels were built for:
   incremental engine (:func:`make_mr_fair`) and the retained from-scratch
   evaluator (:func:`make_mr_fair_reference`);
 * the three shared kernels at paper scale: ``favored_mixed_pairs_by_group``
-  (vs its naive reference), ``RankingSet.precedence_matrix`` (cold cache),
-  and ``kendall_tau_to_set``.
+  (vs its naive reference), ``RankingSet.precedence_matrix`` (cold cache,
+  vs the float ``einsum`` form its unit-weight path replaced), and
+  ``kendall_tau_to_set``.
 
 Results are written to ``benchmarks/results/perf_hot_paths.{json,txt}`` so
 every future PR inherits a perf trajectory to compare against.  Set
@@ -17,13 +18,15 @@ every future PR inherits a perf trajectory to compare against.  Set
 perf smoke job; smoke runs assert but do not persist results, so they never
 overwrite the committed full-scale baseline.
 
-Two hard assertions guard the tentpole:
+Hard assertions guard both engines:
 
 * the incremental engine returns the *identical* ranking and ``n_swaps`` as
   the from-scratch evaluator;
 * at the acceptance configuration (the largest n both are timed at) the
   incremental engine is >= 10x faster (>= 4x at smoke scale, where fixed
-  per-iteration overheads weigh more).
+  per-iteration overheads weigh more);
+* the counted precedence matrix equals the ``einsum`` reference exactly and
+  is >= 3x faster (>= 1.5x at smoke scale).
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ _SCALE_PARAMETERS = {
         "kernel_n": 500,
         "kernel_m": 100,
         "min_speedup": 10.0,
+        "min_precedence_speedup": 3.0,
     },
     "smoke": {
         "candidate_counts": (50, 100),
@@ -69,6 +73,7 @@ _SCALE_PARAMETERS = {
         "kernel_n": 120,
         "kernel_m": 30,
         "min_speedup": 4.0,
+        "min_precedence_speedup": 1.5,
     },
 }
 
@@ -167,13 +172,27 @@ def test_perf_hot_paths(results_directory, perf_output_directory):
     def _cold_precedence() -> np.ndarray:
         return RankingSet(base).precedence_matrix()
 
-    kernel_rows.append(
-        {
-            "kernel": "precedence_matrix",
-            "configuration": f"m={kernel_m}, n={kernel_n}, cold cache",
-            "vectorized_s": _best_of(_cold_precedence),
-            "naive_s": None,
-        }
+    def _einsum_precedence() -> np.ndarray:
+        # The float einsum every precedence build ran before the counted
+        # unit-weight branch; kept here as the timing and value reference.
+        positions = RankingSet(base).position_matrix()
+        precedes = positions[:, np.newaxis, :] < positions[:, :, np.newaxis]
+        matrix = np.einsum("r,rab->ab", np.ones(kernel_m), precedes)
+        np.fill_diagonal(matrix, 0.0)
+        return matrix
+
+    assert np.array_equal(_cold_precedence(), _einsum_precedence())
+    precedence_row = {
+        "kernel": "precedence_matrix",
+        "configuration": f"m={kernel_m}, n={kernel_n}, cold cache",
+        "vectorized_s": _best_of(_cold_precedence),
+        "naive_s": _best_of(_einsum_precedence),
+    }
+    kernel_rows.append(precedence_row)
+    precedence_speedup = precedence_row["naive_s"] / precedence_row["vectorized_s"]
+    assert precedence_speedup >= parameters["min_precedence_speedup"], (
+        f"counted precedence matrix only {precedence_speedup:.1f}x faster than "
+        f"the einsum reference (required {parameters['min_precedence_speedup']}x)"
     )
 
     ranking_set = RankingSet(base)
@@ -206,7 +225,7 @@ def test_perf_hot_paths(results_directory, perf_output_directory):
         "parameters": {
             key: value
             for key, value in parameters.items()
-            if key != "min_speedup"
+            if key not in ("min_speedup", "min_precedence_speedup")
         },
         "make_mr_fair": make_mr_fair_rows,
         "kernels": kernel_rows,

@@ -276,8 +276,11 @@ class RankingSet:
         through the configured kernel backend (:mod:`repro.kernels`; the
         default backend is a vectorised broadcast — O(m n^2) numpy work with
         bounded peak memory instead of a Python loop over the m rankings).
-        Both variants are cached because several aggregators request them for
-        the same (immutable) ranking set.
+        The :data:`_CHUNK_BYTE_BUDGET` bounds the weighted (``einsum``) path
+        only: unit weights take the backend's counted branch, which works in
+        1 MiB blocks whatever the chunk size.  Both variants are cached
+        because several aggregators request them for the same (immutable)
+        ranking set.
         """
         if weighted and self._weighted_precedence_cache is not None:
             return self._weighted_precedence_cache
@@ -299,6 +302,14 @@ class RankingSet:
         else:
             self._precedence_cache = matrix
         return matrix
+
+    def has_precedence_matrix(self) -> bool:
+        """Whether the unweighted precedence matrix is already materialised.
+
+        Lets metrics choose an O(n^2) read of the cached matrix over an
+        O(m n^2) pass without building the matrix themselves.
+        """
+        return self._precedence_cache is not None
 
     def margin_matrix(self, weighted: bool = False) -> np.ndarray:
         """Return the pairwise margin matrix ``M = W - W^T``.

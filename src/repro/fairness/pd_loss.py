@@ -19,6 +19,7 @@ produced by the same underlying aggregation method.
 
 from __future__ import annotations
 
+from repro.core.distances import kemeny_objective
 from repro.core.pairwise import total_pairs
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
@@ -31,6 +32,18 @@ def pd_loss(rankings: RankingSet, consensus: Ranking) -> float:
     """Pairwise Disagreement loss of ``consensus`` against the base rankings.
 
     Returns a value in [0, 1]; see the module docstring for the formula.
+
+    Two exact paths count the (unweighted) disagreements:
+
+    * when ``rankings`` already holds its unweighted precedence matrix ``W``
+      (the pairwise methods build it), the count is the Kemeny objective of
+      ``consensus`` — an O(n^2) read of the entries of ``W`` above the
+      consensus order;
+    * otherwise one batched Kendall tau pass over the position matrix,
+      O(m n^2), which avoids building ``W`` only to read it once.
+
+    Both counts are integers below 2^53, so the two paths return the
+    identical float, for weighted sets too (PD loss ignores the weights).
     """
     if consensus.n_candidates != rankings.n_candidates:
         raise RankingError(
@@ -40,9 +53,10 @@ def pd_loss(rankings: RankingSet, consensus: Ranking) -> float:
     pairs = total_pairs(consensus.n_candidates)
     if pairs == 0:
         return 0.0
-    # One batched Kendall tau computation over the position matrix instead of
-    # a merge sort per base ranking; the counts are exact integers.
-    disagreements = int(rankings.kendall_tau_vector(consensus).sum())
+    if rankings.has_precedence_matrix():
+        disagreements = int(kemeny_objective(consensus, rankings))
+    else:
+        disagreements = int(rankings.kendall_tau_vector(consensus).sum())
     return disagreements / (pairs * rankings.n_rankings)
 
 

@@ -8,6 +8,17 @@ bit-identical to the pre-seam code by construction — same operations in the
 same order on the same representations.  Do not "improve" these loops in
 place: alternative implementations belong in a new backend, gated by the
 cross-backend bit-identity suite.
+
+One deliberate exception: :meth:`NumpyKernelBackend.precedence_accumulate`
+counts unit-weight blocks (every weight exactly ``1.0``, i.e. every
+unweighted precedence build and streaming patch) with small-integer
+comparisons instead of the float ``einsum``.  It is bit-identical because
+the ``einsum`` of unit weights sums exact integers below 2^53 in float64,
+so every entry already *is* the integer count, and the counted branch adds
+those same integers to the float matrix.  Any other weights keep the
+original ``einsum`` line.  ``tests/kernels/test_bit_identity.py``
+(``TestCountedPrecedence``) and ``tests/core/test_ranking_set.py`` pin
+both branches against the naive loop and the original expression.
 """
 
 from __future__ import annotations
@@ -19,6 +30,53 @@ import numpy as np
 from repro.kernels.base import KernelBackend
 
 __all__ = ["NumpyKernelBackend"]
+
+#: Byte budget of one boolean comparison block in the counted precedence pass.
+_COUNT_BLOCK_BYTES = 1 << 20
+
+#: Rankings a ``uint8`` count can absorb before it must be flushed to int64.
+_UINT8_FLUSH = np.iinfo(np.uint8).max
+
+
+def _precedence_counts(positions: np.ndarray) -> np.ndarray:
+    """Integer precedence counts of a block of rankings (all weights 1).
+
+    ``counts[a, b]`` is the number of rows of ``positions`` placing ``b``
+    before ``a``.  Positions are compared as ``int16`` (``int32`` past its
+    range) in blocks of at most :data:`_COUNT_BLOCK_BYTES` bytes of
+    ``bool``; each block is reduced as ``uint8`` into a ``uint8``
+    accumulator that is flushed into ``int64`` before it could hold more
+    than 255 rankings.
+    """
+    m, n = positions.shape
+    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    positions = positions.astype(dtype)
+    step = max(1, min(_UINT8_FLUSH, _COUNT_BLOCK_BYTES // (n * n)))
+    counts = np.zeros((n, n), dtype=np.int64)
+    pending = np.zeros((n, n), dtype=np.uint8)
+    partial = np.empty((n, n), dtype=np.uint8)
+    buffer = np.empty((step, n, n), dtype=bool)
+    held = 0
+    for start in range(0, m, step):
+        block = positions[start : start + step]
+        k = block.shape[0]
+        if held + k > _UINT8_FLUSH:
+            counts += pending
+            pending.fill(0)
+            held = 0
+        # precedes[r, a, b] <=> positions_r[b] < positions_r[a]
+        precedes = np.less(
+            block[:, np.newaxis, :], block[:, :, np.newaxis], out=buffer[:k]
+        ).view(np.uint8)
+        if k == 1:
+            # A one-ranking reduction would only copy the plane.
+            pending += precedes[0]
+        else:
+            np.add.reduce(precedes, axis=0, out=partial)
+            pending += partial
+        held += k
+    counts += pending
+    return counts
 
 
 class NumpyKernelBackend(KernelBackend):
@@ -200,6 +258,9 @@ class NumpyKernelBackend(KernelBackend):
         positions: np.ndarray,
         weights: np.ndarray,
     ) -> None:
+        if (weights == 1.0).all():
+            matrix += _precedence_counts(positions)
+            return
         # precedes[r, a, b] <=> positions_r[b] < positions_r[a]
         precedes = positions[:, np.newaxis, :] < positions[:, :, np.newaxis]
         matrix += np.einsum("r,rab->ab", weights, precedes)

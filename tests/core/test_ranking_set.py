@@ -125,6 +125,47 @@ class TestPrecedenceMatrix:
             np.fill_diagonal(expected, 0.0)
             assert np.allclose(matrix, expected)
 
+    def test_all_unit_weights_match_the_unweighted_matrix(self, rng):
+        rankings = [Ranking.random(40, rng) for _ in range(300)]
+        weighted = RankingSet(rankings, weights=[1.0] * 300)
+        unweighted = RankingSet(rankings)
+        assert np.array_equal(
+            weighted.precedence_matrix(weighted=True), unweighted.precedence_matrix()
+        )
+
+    def test_has_precedence_matrix_tracks_the_unweighted_cache(self, tiny_rankings):
+        assert not tiny_rankings.has_precedence_matrix()
+        tiny_rankings.precedence_matrix(weighted=True)
+        assert not tiny_rankings.has_precedence_matrix()
+        tiny_rankings.precedence_matrix()
+        assert tiny_rankings.has_precedence_matrix()
+
+    @pytest.mark.parametrize("k", [1, 300])
+    def test_patched_caches_equal_a_rebuild(self, rng, k):
+        base = [Ranking.random(30, rng) for _ in range(400)]
+        extra = [Ranking.random(30, rng) for _ in range(k)]
+        weights = rng.integers(1, 4, 400).astype(float)
+        parent = RankingSet(base, weights=weights)
+        parent.precedence_matrix()
+        parent.precedence_matrix(weighted=True)
+        added = parent.with_added(extra)
+        removed = parent.with_removed(range(k))
+        assert added.has_precedence_matrix() and removed.has_precedence_matrix()
+        rebuilt_added = RankingSet(
+            base + extra, weights=np.concatenate([weights, np.ones(k)])
+        )
+        rebuilt_removed = RankingSet(base[k:], weights=weights[k:])
+        for patched, rebuilt in ((added, rebuilt_added), (removed, rebuilt_removed)):
+            for weighted in (False, True):
+                assert np.array_equal(
+                    patched.precedence_matrix(weighted=weighted),
+                    rebuilt.precedence_matrix(weighted=weighted),
+                )
+                assert np.array_equal(
+                    patched.margin_matrix(weighted=weighted),
+                    rebuilt.margin_matrix(weighted=weighted),
+                )
+
     def test_pairwise_support_is_transpose(self, tiny_rankings):
         support = tiny_rankings.pairwise_support()
         assert np.array_equal(support, tiny_rankings.precedence_matrix().T)

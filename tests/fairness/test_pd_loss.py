@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.service import compute_consensus_payload
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
+from repro.datagen.attributes import scalability_table
+from repro.datagen.mallows import sample_mallows
 from repro.exceptions import RankingError
 from repro.fairness.pd_loss import pd_loss, price_of_fairness
+from repro.kernels.numpy_backend import NumpyKernelBackend
 
 
 class TestPdLoss:
@@ -54,6 +59,65 @@ class TestPdLoss:
         assert pd_loss(rankings, consensus) + pd_loss(
             rankings, consensus.reversed()
         ) == pytest.approx(1.0)
+
+
+class TestPdLossPaths:
+    """The O(n^2) read of a cached ``W`` and the batched Kendall pass agree."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_both_paths_return_the_identical_float(self, n, weighted, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 60))
+        orders = [rng.permutation(n).tolist() for _ in range(m)]
+        weights = rng.uniform(0.1, 3.0, m) if weighted else None
+        consensus = Ranking(rng.permutation(n).tolist())
+        kendall_set = RankingSet.from_orders(orders, weights=weights)
+        matrix_set = RankingSet.from_orders(orders, weights=weights)
+        matrix_set.precedence_matrix()
+        assert not kendall_set.has_precedence_matrix()
+        assert matrix_set.has_precedence_matrix()
+        assert pd_loss(matrix_set, consensus) == pd_loss(kendall_set, consensus)
+
+
+class TestPdLossInPayloads:
+    """Which PD-loss path a cold consensus payload takes, per method."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"kendall": 0, "precedence": 0}
+        kendall = RankingSet.kendall_tau_vector
+        accumulate = NumpyKernelBackend.precedence_accumulate
+
+        def count_kendall(self, ranking):
+            counts["kendall"] += 1
+            return kendall(self, ranking)
+
+        def count_precedence(self, matrix, positions, weights):
+            counts["precedence"] += 1
+            return accumulate(self, matrix, positions, weights)
+
+        monkeypatch.setattr(RankingSet, "kendall_tau_vector", count_kendall)
+        monkeypatch.setattr(
+            NumpyKernelBackend, "precedence_accumulate", count_precedence
+        )
+        return counts
+
+    @staticmethod
+    def _payload(method: str) -> dict:
+        table = scalability_table(40, rng=3)
+        rankings = sample_mallows(Ranking.identity(40), 0.6, 30, rng=5)
+        return compute_consensus_payload(rankings, table, method=method, delta=0.2)
+
+    @pytest.mark.parametrize("method", ["fair-copeland", "fair-borda-insertion"])
+    def test_pairwise_methods_read_the_matrix_they_built(self, calls, method):
+        self._payload(method)
+        assert calls == {"kendall": 0, "precedence": 1}
+
+    def test_fair_borda_keeps_the_kendall_pass(self, calls):
+        self._payload("fair-borda")
+        assert calls == {"kendall": 1, "precedence": 0}
 
 
 class TestPriceOfFairness:

@@ -207,3 +207,59 @@ class TestSharedKernels:
         )
         naive = favored_mixed_pairs_by_group_naive(ranking, membership, n_groups)
         assert np.array_equal(np.asarray(counts), np.asarray(naive))
+
+
+def _naive_precedence(positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """One ranking at a time: ``naive[a, b] += w_r`` when ``b`` precedes ``a``."""
+    n = positions.shape[1]
+    naive = np.zeros((n, n))
+    for row, weight in zip(positions, weights):
+        naive += weight * (row[np.newaxis, :] < row[:, np.newaxis])
+    return naive
+
+
+class TestCountedPrecedence:
+    """The numpy backend's counted unit-weight branch and its einsum fallback."""
+
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    @pytest.mark.parametrize("m", [1, 254, 255, 256, 600])
+    @pytest.mark.parametrize("profile", ["random", "identical"])
+    def test_counted_branch_matches_naive_loop(self, n, m, profile):
+        # Identical rankings drive every off-diagonal count to 0 or m, so the
+        # uint8 accumulator reaches exactly 255 before its flush.
+        rng = np.random.default_rng(n * 1000 + m)
+        if profile == "identical":
+            rows = np.tile(rng.permutation(n), (m, 1))
+        else:
+            rows = np.stack([rng.permutation(n) for _ in range(m)])
+        positions = np.argsort(rows, axis=1).astype(np.int64)
+        weights = np.ones(m)
+        matrix = np.zeros((n, n))
+        get_backend("numpy").precedence_accumulate(matrix, positions, weights)
+        naive = _naive_precedence(positions, weights)
+        assert np.array_equal(matrix, naive)
+        if profile == "identical" and n > 1:
+            assert matrix.max() == m
+
+    @pytest.mark.parametrize("seed", [80, 81, 82])
+    def test_non_dyadic_weights_take_the_einsum_branch(self, seed, monkeypatch):
+        from repro.kernels import numpy_backend
+
+        def _refuse(positions):
+            raise AssertionError("weighted block took the counted branch")
+
+        monkeypatch.setattr(numpy_backend, "_precedence_counts", _refuse)
+        rng = np.random.default_rng(seed)
+        n, m = 12, 40
+        positions = np.argsort(
+            np.stack([rng.permutation(n) for _ in range(m)]), axis=1
+        ).astype(np.int64)
+        weights = rng.uniform(0.1, 3.0, m)
+        weights[0] = 1.0
+        matrix = np.zeros((n, n))
+        get_backend("numpy").precedence_accumulate(matrix, positions, weights)
+        # The expression every precedence build ran before the counted branch.
+        expected = np.zeros((n, n))
+        precedes = positions[:, np.newaxis, :] < positions[:, :, np.newaxis]
+        expected += np.einsum("r,rab->ab", weights, precedes)
+        assert np.array_equal(matrix, expected)
