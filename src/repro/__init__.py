@@ -18,8 +18,8 @@ Attribute and Intersectional Group Fairness for Consensus Ranking*
 * :mod:`repro.io` — CSV/JSON persistence;
 * :mod:`repro.cache` — the content-addressed consensus cache and the
   ``mani-rank serve`` HTTP front-end;
-* :mod:`repro.kernels` — pluggable compute-kernel backends for the hot
-  inner loops (``numpy`` always, ``numba`` when importable);
+* :mod:`repro.kernels` — the numpy compute kernels behind the hot inner
+  loops;
 * :mod:`repro.api` — the stable high-level facade with the compatibility
   promise (see ``docs/api.md``).
 
@@ -86,12 +86,6 @@ from repro.cache import (
     ConsensusCacheService,
     ResultCache,
 )
-from repro.kernels import (
-    active_backend_name,
-    available_backends,
-    set_default_backend,
-    use_backend,
-)
 from repro.fairness import (
     FairnessTable,
     FairnessThresholds,
@@ -156,11 +150,6 @@ __all__ = [
     "CacheStats",
     "ConsensusCacheService",
     "ResultCache",
-    # compute-kernel backends
-    "available_backends",
-    "active_backend_name",
-    "set_default_backend",
-    "use_backend",
     # exceptions
     "ReproError",
     "ValidationError",
@@ -169,3 +158,20 @@ __all__ = [
     "InfeasibleProblemError",
 ]
 
+#: Deprecated backend-registry names, resolved through the shim table in
+#: :mod:`repro.api` (one release of warnings before removal).
+_FORWARDED_KERNEL_NAMES = (
+    "available_backends",
+    "active_backend_name",
+    "set_default_backend",
+    "use_backend",
+)
+
+
+def __getattr__(name: str) -> object:
+    """Forward the deprecated backend-registry names to :mod:`repro.api`."""
+    if name not in _FORWARDED_KERNEL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.api import _deprecated_kernel_name
+
+    return _deprecated_kernel_name(__name__, name)

@@ -61,10 +61,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
 from repro.exceptions import AggregationError
-from repro.kernels import KernelBackend, resolve_backend
 
 __all__ = ["KemenyDeltaEngine"]
 
@@ -83,10 +83,6 @@ class KemenyDeltaEngine:
     weighted:
         Use the ranking-set weights when building the precedence matrix.
         Ignored when ``rankings`` is already a matrix.
-    backend:
-        Compute-kernel backend for the hot loops (:mod:`repro.kernels`):
-        ``None`` (the process default), a registered backend name, or a
-        :class:`~repro.kernels.KernelBackend` instance.
     """
 
     def __init__(
@@ -94,9 +90,7 @@ class KemenyDeltaEngine:
         rankings: RankingSet | np.ndarray,
         initial: Ranking,
         weighted: bool = False,
-        backend: KernelBackend | str | None = None,
     ) -> None:
-        self._kernels = resolve_backend(backend)
         if isinstance(rankings, RankingSet):
             precedence = rankings.precedence_matrix(weighted=weighted)
             margin = rankings.margin_matrix(weighted=weighted)
@@ -187,11 +181,6 @@ class KemenyDeltaEngine:
     def n_candidates(self) -> int:
         """Number of candidates in the ranking."""
         return self._n
-
-    @property
-    def kernel_backend(self) -> KernelBackend:
-        """The compute-kernel backend the hot loops run on."""
-        return self._kernels
 
     @property
     def objective(self) -> float:
@@ -361,7 +350,7 @@ class KemenyDeltaEngine:
         (:meth:`apply_move` always recomputes the applied delta).
         """
         position = self._positions()[candidate]
-        return self._kernels.move_deltas(
+        return kernels.move_deltas(
             self._margin, candidate, self._order_array, position
         )
 
@@ -398,21 +387,20 @@ class KemenyDeltaEngine:
           run skipped were unmarked originals, on which the reference scan
           would not have swapped either.
 
-        The carry-run loop itself lives on the configured kernel backend
-        (:meth:`repro.kernels.KernelBackend.sweep_adjacent`); this method
-        owns the mask cache and the engine bookkeeping around it.
+        The carry-run loop itself is :func:`repro.kernels.sweep_adjacent`;
+        this method owns the mask cache and the engine bookkeeping around it.
         """
         if self._n < 2:
             return False
         mask = self._sweep_mask
         if mask is None:
-            mask = self._kernels.build_sweep_mask(self._order_array, self._margin)
+            mask = kernels.build_sweep_mask(self._order_array, self._margin)
             self._sweep_mask = mask
         # Accumulating the pass's improvement costs one extra slice-sum per
         # run; skip it while the lazy objective has never been queried (it
         # would be recomputed from the final order anyway).
         track_objective = self._objective_cache is not None
-        swapped, improvement = self._kernels.sweep_adjacent(
+        swapped, improvement = kernels.sweep_adjacent(
             self._order_array, self._margin, mask, track_objective
         )
         if not swapped:

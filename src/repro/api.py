@@ -5,8 +5,7 @@ The internal packages (:mod:`repro.core`, :mod:`repro.aggregation`,
 module is the one import surface with a compatibility promise.  It covers the
 five verbs a typical caller needs — load a preference profile, aggregate it
 into a consensus, repair a ranking to MANI-Rank fairness, evaluate fairness,
-and open a consensus cache — plus the compute-kernel backend registry
-(:mod:`repro.kernels`) for introspection and selection.
+and open a consensus cache.
 
 Stability policy
 ----------------
@@ -15,8 +14,9 @@ Stability policy
   new keyword arguments may be added with defaults that preserve behaviour.
 * Internal modules may change without notice; import from ``repro.api`` (or
   the top-level ``repro`` re-exports) in downstream code.
-* Deprecated aliases warn with :class:`DeprecationWarning` for at least two
-  PRs before removal (see ``docs/api.md``).
+* Deprecated names keep working for one more release: each warns with
+  :class:`DeprecationWarning` once per process, naming the release that
+  removes it (see ``docs/api.md``).
 
 Example
 -------
@@ -34,34 +34,25 @@ True
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+import warnings
+from collections.abc import Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from pathlib import Path
+from types import ModuleType
 from typing import NamedTuple
 
+from repro import kernels
 from repro.cache.service import ConsensusCacheService, compute_consensus_payload
 from repro.cache.store import ResultCache
 from repro.core.candidates import CandidateTable
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
+from repro.exceptions import KernelError
 from repro.fair.make_mr_fair import MakeMRFairResult, make_mr_fair
 from repro.fair.sharding import make_mr_fair_sharded
 from repro.fairness.parity import ManiRankReport, evaluate_mani_rank
 from repro.fairness.thresholds import FairnessThresholds
 from repro.io.csv_io import read_candidate_table, read_ranking_set
-from repro.kernels import (
-    BACKEND_ENV_VAR,
-    KernelBackend,
-    active_backend,
-    active_backend_name,
-    available_backends,
-    create_backend,
-    describe_backends,
-    get_backend,
-    resolve_backend,
-    set_default_backend,
-    unavailable_backends,
-    use_backend,
-)
 
 __all__ = [
     # the five facade verbs
@@ -71,19 +62,6 @@ __all__ = [
     "evaluate_fairness",
     "open_cache",
     "Profile",
-    # kernel-backend registry (re-exported from repro.kernels)
-    "KernelBackend",
-    "BACKEND_ENV_VAR",
-    "available_backends",
-    "unavailable_backends",
-    "create_backend",
-    "get_backend",
-    "resolve_backend",
-    "active_backend",
-    "active_backend_name",
-    "set_default_backend",
-    "use_backend",
-    "describe_backends",
 ]
 
 
@@ -115,24 +93,20 @@ def aggregate(
     method: str = "fair-borda",
     strategy: str | None = None,
     delta: FairnessThresholds | float | Mapping[str, float] = 0.1,
-    backend: KernelBackend | str | None = None,
+    backend: object = None,
 ) -> dict:
     """Aggregate a profile into a fair consensus and return the JSON payload.
 
     A thin wrapper over
-    :func:`~repro.cache.service.compute_consensus_payload` that additionally
-    accepts a compute-kernel ``backend`` (name, instance, or ``None`` for the
-    process default); the backend is installed for the duration of the call
-    only.
+    :func:`~repro.cache.service.compute_consensus_payload`.  ``backend`` is
+    deprecated: ``None`` and ``"numpy"`` are accepted, anything else raises
+    :class:`~repro.exceptions.KernelError`.
     """
-    if backend is None:
-        return compute_consensus_payload(
-            rankings, table, method=method, strategy=strategy, delta=delta
-        )
-    with use_backend(resolve_backend(backend).name):
-        return compute_consensus_payload(
-            rankings, table, method=method, strategy=strategy, delta=delta
-        )
+    if backend is not None:
+        _deprecated_backend_argument("aggregate", backend)
+    return compute_consensus_payload(
+        rankings, table, method=method, strategy=strategy, delta=delta
+    )
 
 
 def repair(
@@ -141,7 +115,7 @@ def repair(
     delta: FairnessThresholds | float | Mapping[str, float],
     max_swaps: int | None = None,
     n_shards: int | None = None,
-    backend: KernelBackend | str | None = None,
+    backend: object = None,
 ) -> MakeMRFairResult | list[MakeMRFairResult]:
     """Repair ranking(s) to MANI-Rank fairness with Make-MR-Fair.
 
@@ -149,19 +123,14 @@ def repair(
     process (``n_shards`` is ignored), or a sequence of rankings to repair
     the batch — sharded across a process pool when ``n_shards`` is ``None``
     (one shard per CPU) or greater than one, bit-identical to the serial
-    loop either way.
+    loop either way.  ``backend`` is deprecated, as in :func:`aggregate`.
     """
+    if backend is not None:
+        _deprecated_backend_argument("repair", backend)
     if isinstance(rankings, Ranking):
-        return make_mr_fair(
-            rankings, table, delta, max_swaps=max_swaps, backend=backend
-        )
+        return make_mr_fair(rankings, table, delta, max_swaps=max_swaps)
     return make_mr_fair_sharded(
-        rankings,
-        table,
-        delta,
-        max_swaps=max_swaps,
-        n_shards=n_shards,
-        backend=backend,
+        rankings, table, delta, max_swaps=max_swaps, n_shards=n_shards
     )
 
 
@@ -196,3 +165,98 @@ def open_cache(
         memory_capacity=memory_capacity, directory=directory, **cache_options
     )
     return ConsensusCacheService(cache)
+
+
+# --- deprecated backend-registry names ----------------------------------------
+#
+# The backend registry collapsed into the plain functions of
+# :mod:`repro.kernels`.  Its names stay importable for one release as
+# numpy-only stand-ins that keep no backend state: the stand-in "backend" is
+# the ``repro.kernels`` module itself (same kernel call surface), and asking
+# for any other backend raises :class:`~repro.exceptions.KernelError`.
+
+#: The release that deletes the names below and the ``backend=`` arguments.
+_REMOVED_IN = "1.1.0"
+
+
+def _numpy_only(backend: object = None) -> ModuleType:
+    """Stand-in for every backend lookup: numpy resolves, anything else raises."""
+    if backend is None or backend is kernels or backend == "numpy":
+        return kernels
+    raise KernelError(
+        f"unknown kernel backend {backend!r}; numpy is the only kernel "
+        "implementation (see repro.kernels)"
+    )
+
+
+def _set_default_backend(name: str | None) -> None:
+    """Validate ``name`` and change nothing: numpy is always the backend."""
+    if name is not None:
+        _numpy_only(name)
+
+
+@contextmanager
+def _use_backend(name: str) -> Iterator[ModuleType]:
+    """Validate ``name`` and yield the kernels module; no state is installed."""
+    yield _numpy_only(name)
+
+
+_DEPRECATED_KERNEL_NAMES: dict[str, object] = {
+    # isinstance(api.resolve_backend(), api.KernelBackend) still holds.
+    "KernelBackend": ModuleType,
+    "BACKEND_ENV_VAR": "MANI_RANK_BACKEND",
+    "available_backends": lambda: ("numpy",),
+    "unavailable_backends": dict,
+    "create_backend": _numpy_only,
+    "get_backend": _numpy_only,
+    "resolve_backend": _numpy_only,
+    "active_backend": _numpy_only,
+    "active_backend_name": lambda: "numpy",
+    "set_default_backend": _set_default_backend,
+    "use_backend": _use_backend,
+    "describe_backends": lambda: {
+        "active": {"name": "numpy", "compiled": False},
+        "available": ["numpy"],
+        "unavailable": {},
+    },
+}
+_warned: set[str] = set()
+
+
+def _warn_deprecated(name: str, stacklevel: int) -> None:
+    """Emit the once-per-process :class:`DeprecationWarning` for ``name``."""
+    if name in _warned:
+        return
+    _warned.add(name)
+    warnings.warn(
+        f"{name} is deprecated and will be removed in repro {_REMOVED_IN}: "
+        "numpy is the only kernel implementation; "
+        "call the functions of repro.kernels directly",
+        DeprecationWarning,
+        stacklevel=stacklevel + 1,
+    )
+
+
+def _deprecated_backend_argument(verb: str, backend: object) -> None:
+    """Warn about ``verb(backend=)`` and reject any backend but numpy."""
+    _warn_deprecated(f"repro.api.{verb}(backend=)", stacklevel=3)
+    _numpy_only(backend)
+
+
+def _deprecated_kernel_name(module: str, name: str) -> object:
+    """Look ``name`` up in the shim table for a module ``__getattr__``.
+
+    Warns once per name, attributed to the code that accessed
+    ``module.name``; a name outside the table raises :class:`AttributeError`.
+    """
+    try:
+        value = _DEPRECATED_KERNEL_NAMES[name]
+    except KeyError:
+        raise AttributeError(f"module {module!r} has no attribute {name!r}") from None
+    _warn_deprecated(f"{module}.{name}", stacklevel=3)
+    return value
+
+
+def __getattr__(name: str) -> object:
+    """Resolve the deprecated backend-registry names with a one-time warning."""
+    return _deprecated_kernel_name(__name__, name)

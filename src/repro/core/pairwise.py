@@ -19,6 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.core.candidates import CandidateTable, Group
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
@@ -96,7 +97,6 @@ def favored_mixed_pairs_by_group(
     ranking: Ranking,
     membership: np.ndarray,
     n_groups: int,
-    backend: object | None = None,
 ) -> np.ndarray:
     """Favored-pair counts for every group of a partition.
 
@@ -110,24 +110,18 @@ def favored_mixed_pairs_by_group(
         :meth:`repro.core.candidates.CandidateTable.group_membership_array`).
     n_groups:
         Number of groups in the partition.
-    backend:
-        Compute-kernel backend (:mod:`repro.kernels`): ``None`` (the process
-        default), a registered backend name, or a backend instance.
 
     Returns
     -------
     numpy.ndarray
         ``counts[g]`` is the number of mixed pairs in which a member of group
-        ``g`` appears above a candidate of any other group.  The default
-        backend's kernel is fully vectorised: O(n * n_groups) numpy work with
-        no per-position Python loop, which is effectively O(n) for the
-        handful of groups the paper considers.
+        ``g`` appears above a candidate of any other group.  The kernel
+        (:func:`repro.kernels.favored_mixed_pairs_by_group`) is fully
+        vectorised: O(n * n_groups) numpy work with no per-position Python
+        loop, which is effectively O(n) for the handful of groups the paper
+        considers.
     """
-    from repro.kernels import resolve_backend
-
-    return resolve_backend(backend).favored_mixed_pairs_by_group(
-        ranking.order, membership, n_groups
-    )
+    return kernels.favored_mixed_pairs_by_group(ranking.order, membership, n_groups)
 
 
 def favored_mixed_pairs_by_group_naive(

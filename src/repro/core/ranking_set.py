@@ -13,6 +13,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.core.ranking import Ranking
 from repro.exceptions import RankingError, ValidationError
 
@@ -273,11 +274,11 @@ class RankingSet:
         contributes its weight instead of 1.
 
         Computed as a chunked accumulation over the ``m x n`` position matrix
-        through the configured kernel backend (:mod:`repro.kernels`; the
-        default backend is a vectorised broadcast — O(m n^2) numpy work with
-        bounded peak memory instead of a Python loop over the m rankings).
-        The :data:`_CHUNK_BYTE_BUDGET` bounds the weighted (``einsum``) path
-        only: unit weights take the backend's counted branch, which works in
+        with :func:`repro.kernels.precedence_accumulate` (a vectorised
+        broadcast — O(m n^2) numpy work with bounded peak memory instead of a
+        Python loop over the m rankings).  The :data:`_CHUNK_BYTE_BUDGET`
+        bounds the weighted (``einsum``) path only: unit weights take the
+        kernel's counted branch, which works in
         1 MiB blocks whatever the chunk size.  Both variants are cached
         because several aggregators request them for the same (immutable)
         ranking set.
@@ -286,9 +287,6 @@ class RankingSet:
             return self._weighted_precedence_cache
         if not weighted and self._precedence_cache is not None:
             return self._precedence_cache
-        from repro.kernels import resolve_backend
-
-        kernels = resolve_backend(None)
         weights = self._weights if weighted else self.unit_weights
         matrix = np.zeros((self._n, self._n), dtype=float)
         for start, block in self._position_chunks():
@@ -402,9 +400,6 @@ class RankingSet:
         Chunked exactly like :meth:`precedence_matrix` so one call stays
         within :data:`_CHUNK_BYTE_BUDGET` bytes of boolean workspace.
         """
-        from repro.kernels import resolve_backend
-
-        kernels = resolve_backend(None)
         n = self._n
         delta = np.zeros((n, n), dtype=float)
         rows_per_chunk = max(1, self._CHUNK_BYTE_BUDGET // max(1, n * n))

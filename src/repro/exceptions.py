@@ -61,7 +61,7 @@ class SolverError(AggregationError):
 
 
 class KernelError(ReproError):
-    """A compute-kernel backend is unknown, unavailable, or misconfigured."""
+    """A compute-kernel backend other than numpy was requested."""
 
 
 class FairnessError(ReproError):

@@ -53,11 +53,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.core.candidates import CandidateTable
 from repro.core.ranking import Ranking
 from repro.exceptions import FairnessError
 from repro.fairness.thresholds import FairnessThresholds
-from repro.kernels import KernelBackend, resolve_backend
 
 __all__ = ["FairnessState"]
 
@@ -73,7 +73,6 @@ class _EntityStats:
 
     __slots__ = (
         "name",
-        "kernels",
         "membership",
         "n_groups",
         "denominators",
@@ -86,21 +85,12 @@ class _EntityStats:
         "lowest_index",
     )
 
-    def __init__(
-        self,
-        name: str,
-        table: CandidateTable,
-        ranking: Ranking,
-        kernels: KernelBackend,
-    ) -> None:
+    def __init__(self, name: str, table: CandidateTable, ranking: Ranking) -> None:
         groups = table.groups(name)
         n = table.n_candidates
         self.name = name
-        self.kernels = kernels
         membership = table.group_membership_array(name)
-        # Backend-chosen representations: plain lists for the numpy backend
-        # (verbatim the pre-seam code), int64 arrays for compiled backends.
-        self.membership = kernels.membership_vector(membership)
+        self.membership = membership.tolist()
         self.n_groups = len(groups)
         denominators = [group.size * (n - group.size) for group in groups]
         if any(denominator == 0 for denominator in denominators):
@@ -109,12 +99,10 @@ class _EntityStats:
                 f"attribute {name!r} has a group covering all candidates; "
                 "FPR is undefined"
             )
-        self.denominators = kernels.group_vector(denominators)
-        self.favored = kernels.group_vector(
-            kernels.favored_mixed_pairs_by_group(
-                ranking.order, membership, self.n_groups
-            )
-        )
+        self.denominators = denominators
+        self.favored = kernels.favored_mixed_pairs_by_group(
+            ranking.order, membership, self.n_groups
+        ).tolist()
         self.group_members: tuple[np.ndarray, ...] = tuple(
             np.asarray(group.members, dtype=np.int64) for group in groups
         )
@@ -149,7 +137,7 @@ class _EntityStats:
         """ARP after moving ``gap`` favored pairs from ``group_u`` to ``group_v``."""
         if group_u == group_v:
             return self.parity
-        return self.kernels.parity_after_swap(
+        return kernels.parity_after_swap(
             self.favored, self.denominators, group_u, group_v, gap
         )
 
@@ -171,7 +159,7 @@ class _EntityStats:
         window's per-group membership histogram with the candidate's own
         group holding minus the mixed-pair count.
         """
-        return self.kernels.move_histogram(
+        return kernels.move_histogram(
             self.membership, window, candidate, falling, self.n_groups
         )
 
@@ -182,7 +170,7 @@ class _EntityStats:
         reductions as :meth:`_refresh`, so the value is bit-identical to
         rescoring the materialised moved ranking.
         """
-        return self.kernels.parity_after_deltas(
+        return kernels.parity_after_deltas(
             self.favored, deltas, self.denominators
         )
 
@@ -210,24 +198,14 @@ class FairnessState:
         Initial ranking (not modified; its arrays are copied).
     table:
         Candidate table defining the protected attributes and intersection.
-    backend:
-        Compute-kernel backend for the hot loops (:mod:`repro.kernels`):
-        ``None`` (the process default), a registered backend name, or a
-        :class:`~repro.kernels.KernelBackend` instance.
     """
 
-    def __init__(
-        self,
-        ranking: Ranking,
-        table: CandidateTable,
-        backend: KernelBackend | str | None = None,
-    ) -> None:
+    def __init__(self, ranking: Ranking, table: CandidateTable) -> None:
         if ranking.n_candidates != table.n_candidates:
             raise FairnessError(
                 "ranking and candidate table sizes differ: "
                 f"{ranking.n_candidates} vs {table.n_candidates}"
             )
-        self._kernels = resolve_backend(backend)
         self._table = table
         self._n = table.n_candidates
         self._order = ranking.order.astype(np.int64, copy=True)
@@ -239,8 +217,7 @@ class FairnessState:
         self._positions_list: list[int] = self._positions.tolist()
         self._entities = table.all_fairness_entities()
         self._stats = [
-            _EntityStats(entity, table, ranking, self._kernels)
-            for entity in self._entities
+            _EntityStats(entity, table, ranking) for entity in self._entities
         ]
         self._stats_by_name = {stats.name: stats for stats in self._stats}
 
@@ -256,11 +233,6 @@ class FairnessState:
     def n_candidates(self) -> int:
         """Number of candidates in the ranking."""
         return self._n
-
-    @property
-    def kernel_backend(self) -> KernelBackend:
-        """The compute-kernel backend the hot loops run on."""
-        return self._kernels
 
     @property
     def entities(self) -> tuple[str, ...]:

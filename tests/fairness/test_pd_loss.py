@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.cache.service import compute_consensus_payload
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
@@ -14,7 +15,6 @@ from repro.datagen.attributes import scalability_table
 from repro.datagen.mallows import sample_mallows
 from repro.exceptions import RankingError
 from repro.fairness.pd_loss import pd_loss, price_of_fairness
-from repro.kernels.numpy_backend import NumpyKernelBackend
 
 
 class TestPdLoss:
@@ -88,20 +88,18 @@ class TestPdLossInPayloads:
     def calls(self, monkeypatch):
         counts = {"kendall": 0, "precedence": 0}
         kendall = RankingSet.kendall_tau_vector
-        accumulate = NumpyKernelBackend.precedence_accumulate
+        accumulate = kernels.precedence_accumulate
 
         def count_kendall(self, ranking):
             counts["kendall"] += 1
             return kendall(self, ranking)
 
-        def count_precedence(self, matrix, positions, weights):
+        def count_precedence(matrix, positions, weights):
             counts["precedence"] += 1
-            return accumulate(self, matrix, positions, weights)
+            return accumulate(matrix, positions, weights)
 
         monkeypatch.setattr(RankingSet, "kendall_tau_vector", count_kendall)
-        monkeypatch.setattr(
-            NumpyKernelBackend, "precedence_accumulate", count_precedence
-        )
+        monkeypatch.setattr(kernels, "precedence_accumulate", count_precedence)
         return counts
 
     @staticmethod

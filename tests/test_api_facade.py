@@ -1,18 +1,19 @@
-"""Tests for the stable :mod:`repro.api` facade, the removed deprecation
-aliases, and the package-wide ``__all__`` audit."""
+"""Tests for the stable :mod:`repro.api` facade, its deprecation shims, the
+removed deprecation aliases, and the package-wide ``__all__`` audit."""
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
 
 import repro
 import repro.api as api
-from repro import CandidateTable, Ranking, RankingSet
-from repro.exceptions import ValidationError
+from repro import CandidateTable, Ranking, RankingSet, kernels
+from repro.exceptions import KernelError, ValidationError
 from repro.fair.make_mr_fair import MakeMRFairResult
 from repro.io.csv_io import write_candidate_table, write_ranking_set
 
@@ -55,13 +56,6 @@ class TestFacadeVerbs:
         assert sorted(payload["consensus"]["order"]) == list(range(8))
         assert payload["method"] == "fair-borda"
 
-    def test_aggregate_backend_is_scoped_to_the_call(self, profile):
-        rankings, table = profile
-        before = api.active_backend_name()
-        explicit = api.aggregate(rankings, table, delta=0.2, backend="numpy")
-        assert api.active_backend_name() == before
-        assert explicit == api.aggregate(rankings, table, delta=0.2)
-
     def test_repair_single_ranking(self, profile):
         _, table = profile
         result = api.repair(Ranking(range(8)), table, delta=0.2)
@@ -96,15 +90,161 @@ class TestFacadeVerbs:
         assert any((tmp_path / "cache").iterdir())
 
 
-class TestBackendReexports:
-    def test_registry_surface_is_reexported(self):
-        assert "numpy" in api.available_backends()
-        assert api.describe_backends()["env_var"] == api.BACKEND_ENV_VAR
-        assert api.get_backend("numpy").name == "numpy"
+#: The backend-registry names the facade keeps importable for one release.
+API_KERNEL_NAMES = (
+    "KernelBackend",
+    "BACKEND_ENV_VAR",
+    "available_backends",
+    "unavailable_backends",
+    "create_backend",
+    "get_backend",
+    "resolve_backend",
+    "active_backend",
+    "active_backend_name",
+    "set_default_backend",
+    "use_backend",
+    "describe_backends",
+)
+#: The subset the top-level package re-exported.
+TOP_LEVEL_KERNEL_NAMES = (
+    "available_backends",
+    "active_backend_name",
+    "set_default_backend",
+    "use_backend",
+)
 
-    def test_top_level_reexports(self):
-        assert "numpy" in repro.available_backends()
-        assert repro.active_backend_name() in repro.available_backends()
+
+@pytest.fixture
+def fresh_warnings(monkeypatch):
+    """Forget which deprecated names already warned in this process."""
+    monkeypatch.setattr(api, "_warned", set())
+
+
+@pytest.fixture
+def quiet(fresh_warnings):
+    """Use the deprecated names without their warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        yield
+
+
+class TestDeprecatedKernelNames:
+    """The numpy-only stand-ins for the removed backend registry."""
+
+    @pytest.mark.parametrize("name", API_KERNEL_NAMES)
+    def test_api_name_warns_once_naming_the_removal_release(
+        self, fresh_warnings, name
+    ):
+        with pytest.warns(
+            DeprecationWarning, match=rf"repro\.api\.{name} .*removed in repro 1\.1\.0"
+        ):
+            first = getattr(api, name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert getattr(api, name) is first
+
+    @pytest.mark.parametrize("name", TOP_LEVEL_KERNEL_NAMES)
+    def test_top_level_name_forwards_to_the_api_table(self, fresh_warnings, name):
+        with pytest.warns(
+            DeprecationWarning, match=rf"repro\.{name} .*removed in repro 1\.1\.0"
+        ):
+            value = getattr(repro, name)
+        assert value is api._DEPRECATED_KERNEL_NAMES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            getattr(repro, name)
+
+    def test_from_import_still_works(self, fresh_warnings):
+        with pytest.warns(DeprecationWarning, match="use_backend"):
+            from repro.api import use_backend
+        with use_backend("numpy") as backend:
+            assert backend is kernels
+
+    def test_names_left_the_dunder_all_lists(self):
+        assert not set(API_KERNEL_NAMES) & set(api.__all__)
+        assert not set(TOP_LEVEL_KERNEL_NAMES) & set(repro.__all__)
+
+    def test_stand_ins_answer_numpy(self, quiet):
+        assert api.available_backends() == ("numpy",)
+        assert api.unavailable_backends() == {}
+        assert api.active_backend_name() == "numpy"
+        assert api.describe_backends()["active"]["name"] == "numpy"
+        assert isinstance(api.BACKEND_ENV_VAR, str)
+        lookups = (
+            api.get_backend("numpy"),
+            api.create_backend(),
+            api.create_backend("numpy"),
+            api.resolve_backend(None),
+            api.resolve_backend("numpy"),
+            api.resolve_backend(kernels),
+            api.active_backend(),
+        )
+        for backend in lookups:
+            assert backend is kernels
+            assert isinstance(backend, api.KernelBackend)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: api.get_backend("numba"),
+            lambda: api.create_backend("numba"),
+            lambda: api.resolve_backend("numba"),
+            lambda: api.set_default_backend("numba"),
+            lambda: api.use_backend("numba").__enter__(),
+        ],
+    )
+    def test_any_other_backend_raises(self, quiet, call):
+        with pytest.raises(KernelError, match="numpy is the only kernel"):
+            call()
+
+    def test_setters_hold_no_state(self, quiet):
+        before = (dict(vars(api)), dict(vars(kernels)))
+        api.set_default_backend("numpy")
+        api.set_default_backend(None)
+        with api.use_backend("numpy"):
+            pass
+        assert (dict(vars(api)), dict(vars(kernels))) == before
+
+
+class TestDeprecatedBackendArgument:
+    @pytest.mark.parametrize("backend", ["numpy", kernels])
+    def test_aggregate_accepts_numpy_with_one_warning(
+        self, fresh_warnings, profile, backend
+    ):
+        rankings, table = profile
+        with pytest.warns(
+            DeprecationWarning, match=r"aggregate\(backend=\).*removed in repro 1\.1\.0"
+        ):
+            explicit = api.aggregate(rankings, table, delta=0.2, backend=backend)
+        assert explicit == api.aggregate(rankings, table, delta=0.2)
+
+    def test_repair_accepts_numpy_with_one_warning(self, fresh_warnings, profile):
+        _, table = profile
+        ranking = Ranking(range(8))
+        with pytest.warns(
+            DeprecationWarning, match=r"repair\(backend=\).*removed in repro 1\.1\.0"
+        ):
+            explicit = api.repair(ranking, table, delta=0.2, backend="numpy")
+        assert explicit.ranking == api.repair(ranking, table, delta=0.2).ranking
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = api.repair(
+                [ranking, ranking], table, delta=0.2, n_shards=1, backend="numpy"
+            )
+        assert [r.ranking for r in batch] == [explicit.ranking] * 2
+
+    def test_other_backends_raise(self, quiet, profile):
+        rankings, table = profile
+        with pytest.raises(KernelError):
+            api.aggregate(rankings, table, delta=0.2, backend="numba")
+        with pytest.raises(KernelError):
+            api.repair(Ranking(range(8)), table, delta=0.2, backend="numba")
+
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_repair_still_rejects_non_ranking_items(self, quiet, profile, backend):
+        _, table = profile
+        with pytest.raises(ValidationError, match="item 1"):
+            api.repair([Ranking(range(8)), [0, 1]], table, delta=0.2, backend=backend)
 
 
 class TestDeprecatedAliases:

@@ -142,35 +142,6 @@ class TestCommands:
         assert "Fair-Borda" in output
         assert "PD loss" in output
 
-    def test_aggregate_kernel_backend_flag(self, capsys):
-        from repro.kernels import set_default_backend
-
-        arguments = [
-            "aggregate",
-            str(FIXTURE_DIRECTORY / "rankings.csv"),
-            str(FIXTURE_DIRECTORY / "candidates.csv"),
-            "--kernel-backend",
-            "numpy",
-        ]
-        try:
-            assert main(arguments) == 0
-        finally:
-            set_default_backend(None)
-        assert "Fair-Borda" in capsys.readouterr().out
-
-    def test_aggregate_unknown_kernel_backend_explains(self, capsys):
-        arguments = [
-            "aggregate",
-            str(FIXTURE_DIRECTORY / "rankings.csv"),
-            str(FIXTURE_DIRECTORY / "candidates.csv"),
-            "--kernel-backend",
-            "no-such-backend",
-        ]
-        assert main(arguments) == 2
-        stderr = capsys.readouterr().err
-        assert "unknown kernel backend" in stderr
-        assert "numpy" in stderr
-
     @pytest.mark.parametrize("strategy", [None, "insertion"])
     def test_aggregate_committed_fixture(self, capsys, strategy):
         arguments = [
