@@ -7,7 +7,8 @@ i.e. :class:`~repro.aggregation.search.InsertionStrategy` on the
 retained from-scratch ground truth
 (:func:`repro.aggregation.search.insertion_local_search_reference`), and the
 fairness-constrained insertion repair
-(:func:`repro.fair.local_repair.fair_insertion_kemenization`) against *its*
+(:func:`repro.fair.local_repair.fair_local_search` with
+``strategy="insertion"``) against *its*
 from-scratch reference, on the synthetic-experiment regimes.
 
 Results are written to ``benchmarks/results/perf_insertion.{json,txt}``,
@@ -56,8 +57,8 @@ from repro.datagen.fair_modal import calibrated_modal_ranking
 from repro.datagen.mallows import sample_mallows
 from repro.experiments.reporting import render_table
 from repro.fair.local_repair import (
-    fair_insertion_kemenization,
     fair_insertion_kemenization_reference,
+    fair_local_search,
 )
 from repro.fair.make_mr_fair import make_mr_fair
 
@@ -176,8 +177,13 @@ def test_perf_insertion(results_directory, perf_output_directory):
             BordaAggregator().aggregate(rankings), table, _REPAIR_DELTA
         ).ranking
 
-        engine_repair = fair_insertion_kemenization(
-            rankings, corrected, table, _REPAIR_DELTA, max_passes=_MAX_PASSES
+        engine_repair = fair_local_search(
+            rankings,
+            corrected,
+            table,
+            _REPAIR_DELTA,
+            strategy="insertion",
+            max_passes=_MAX_PASSES,
         )
         reference_repair = fair_insertion_kemenization_reference(
             rankings, corrected, table, _REPAIR_DELTA, max_passes=_MAX_PASSES
@@ -187,8 +193,13 @@ def test_perf_insertion(results_directory, perf_output_directory):
         assert engine_repair.n_moves == reference_repair.n_moves
 
         engine_s = _best_of(
-            lambda: fair_insertion_kemenization(
-                rankings, corrected, table, _REPAIR_DELTA, max_passes=_MAX_PASSES
+            lambda: fair_local_search(
+                rankings,
+                corrected,
+                table,
+                _REPAIR_DELTA,
+                strategy="insertion",
+                max_passes=_MAX_PASSES,
             )
         )
         reference_s = _best_of(

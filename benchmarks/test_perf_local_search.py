@@ -1,13 +1,15 @@
 """Performance benchmark of the incremental Kemeny-delta local-search engine.
 
 Times the engine-backed local Kemenization
-(:func:`repro.aggregation.local_search.local_kemenization`, the hot path of
+(:func:`repro.aggregation.search.local_search` with the default
+``adjacent-swap`` strategy, the hot path of
 :class:`~repro.aggregation.local_search.LocalSearchKemenyAggregator`) against
 the retained from-scratch pass
 (:func:`repro.aggregation.local_search.local_kemenization_reference`), and the
 fairness-preserving local repair
-(:func:`repro.fair.local_repair.fair_local_kemenization`) against its
-from-scratch reference, across the synthetic-experiment regimes.
+(:func:`repro.fair.local_repair.fair_local_search` with the default
+``adjacent-swap`` strategy) against its from-scratch reference, across the
+synthetic-experiment regimes.
 
 Results are written to ``benchmarks/results/perf_local_search.{json,txt}`` so
 every future PR inherits a local-search perf trajectory alongside the PR-2
@@ -49,17 +51,17 @@ import numpy as np
 from repro.aggregation.borda import BordaAggregator
 from repro.aggregation.local_search import (
     LocalSearchKemenyAggregator,
-    local_kemenization,
     local_kemenization_reference,
 )
+from repro.aggregation.search import local_search
 from repro.core.ranking import Ranking
 from repro.datagen.attributes import scalability_table
 from repro.datagen.fair_modal import calibrated_modal_ranking
 from repro.datagen.mallows import sample_mallows
 from repro.experiments.reporting import render_table
 from repro.fair.local_repair import (
-    fair_local_kemenization,
     fair_local_kemenization_reference,
+    fair_local_search,
 )
 from repro.fair.make_mr_fair import make_mr_fair
 
@@ -119,7 +121,7 @@ def test_perf_local_search(results_directory, perf_output_directory):
         )
 
         for seed_label, seed in (("borda", borda), ("cold", cold)):
-            engine_ranking = local_kemenization(
+            engine_ranking = local_search(
                 rankings, seed, max_passes=_MAX_PASSES
             )
             reference_ranking = local_kemenization_reference(
@@ -128,7 +130,7 @@ def test_perf_local_search(results_directory, perf_output_directory):
             assert engine_ranking == reference_ranking
 
             engine_s = _best_of(
-                lambda: local_kemenization(rankings, seed, max_passes=_MAX_PASSES)
+                lambda: local_search(rankings, seed, max_passes=_MAX_PASSES)
             )
             reference_s = _best_of(
                 lambda: local_kemenization_reference(
@@ -178,7 +180,7 @@ def test_perf_local_search(results_directory, perf_output_directory):
             BordaAggregator().aggregate(rankings), table, _REPAIR_DELTA
         ).ranking
 
-        engine_repair = fair_local_kemenization(
+        engine_repair = fair_local_search(
             rankings, corrected, table, _REPAIR_DELTA
         )
         reference_repair = fair_local_kemenization_reference(
@@ -188,7 +190,7 @@ def test_perf_local_search(results_directory, perf_output_directory):
         assert engine_repair.n_swaps == reference_repair.n_swaps
 
         engine_s = _best_of(
-            lambda: fair_local_kemenization(rankings, corrected, table, _REPAIR_DELTA)
+            lambda: fair_local_search(rankings, corrected, table, _REPAIR_DELTA)
         )
         reference_s = _best_of(
             lambda: fair_local_kemenization_reference(

@@ -12,7 +12,6 @@ from repro.aggregation.incremental import KemenyDeltaEngine
 from repro.aggregation.kemeny import KemenyAggregator, exact_kemeny
 from repro.aggregation.local_search import (
     LocalSearchKemenyAggregator,
-    local_kemenization,
     local_kemenization_reference,
 )
 from repro.aggregation.markov_chain import (
@@ -50,7 +49,6 @@ __all__ = [
     "footrule_cost_matrix",
     "KemenyDeltaEngine",
     "LocalSearchKemenyAggregator",
-    "local_kemenization",
     "local_kemenization_reference",
     "NeighborhoodStrategy",
     "SearchStats",

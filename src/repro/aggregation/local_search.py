@@ -6,25 +6,19 @@ pairwise disagreements with the base rankings.  The result is locally optimal:
 no single adjacent transposition can improve it, and it preserves the
 Condorcet winner ordering where one exists.
 
-This module offers both a standalone aggregator (seeded by Borda) and a
-reusable :func:`local_kemenization` post-processing step used by the ablation
-benchmarks to quantify how close the polynomial-time methods get to the exact
-Kemeny optimum.
-
-The main implementation runs on the incremental Kemeny-delta engine
-(:class:`repro.aggregation.incremental.KemenyDeltaEngine`): each bubble pass
-reads O(1) adjacent-swap margins from the engine's cached margin matrix and a
-vectorised gather skips converged prefixes, instead of issuing two numpy
-scalar lookups per adjacent pair per pass.  The original implementation is
-retained verbatim as :func:`local_kemenization_reference`; the test suite
-asserts both produce the identical final ranking on every exercised input,
-and ``benchmarks/test_perf_local_search.py`` tracks the speedup.
-
-The adjacent-transposition neighbourhood is one of several the engine can
-price: :mod:`repro.aggregation.search` packages it alongside an insertion
-(block-move) neighbourhood and a combined schedule as pluggable
-:class:`~repro.aggregation.search.NeighborhoodStrategy` objects, and
-:class:`LocalSearchKemenyAggregator` accepts ``strategy=...`` to pick one.
+This module offers the standalone :class:`LocalSearchKemenyAggregator`
+(Borda seed + local search) and the from-scratch
+:func:`local_kemenization_reference`, the semantic ground truth of the
+adjacent schedule.  The schedule itself lives once, in
+:mod:`repro.aggregation.search`: ``local_search(rankings, initial,
+"adjacent-swap")`` runs it on the incremental Kemeny-delta engine
+(:class:`repro.aggregation.incremental.KemenyDeltaEngine`), where each bubble
+pass reads O(1) adjacent-swap margins from the cached margin matrix and a
+vectorised gather skips converged prefixes.  The test suite asserts it
+returns the identical ranking to the reference on every exercised input,
+and ``benchmarks/test_perf_local_search.py`` tracks the speedup.  The same
+module holds the insertion (block-move) and combined schedules, which
+:class:`LocalSearchKemenyAggregator` selects with ``strategy=...``.
 """
 
 from __future__ import annotations
@@ -39,28 +33,9 @@ from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
 
 __all__ = [
-    "local_kemenization",
     "local_kemenization_reference",
     "LocalSearchKemenyAggregator",
 ]
-
-
-def local_kemenization(
-    rankings: RankingSet, initial: Ranking, max_passes: int = 50
-) -> Ranking:
-    """Improve ``initial`` by adjacent swaps until locally Kemeny-optimal.
-
-    Each pass scans the ranking once (bubble-sort style) on the
-    :class:`KemenyDeltaEngine`; swapping candidates at positions ``p`` and
-    ``p + 1`` changes the Kemeny objective by the cached O(1) margin, so the
-    scan needs no distance recomputation.  Returns the identical ranking to
-    :func:`local_kemenization_reference` (enforced by the property tests).
-    """
-    engine = KemenyDeltaEngine(rankings, initial)
-    for _ in range(max_passes):
-        if not engine.sweep_adjacent():
-            break
-    return engine.to_ranking()
 
 
 def local_kemenization_reference(
@@ -70,8 +45,8 @@ def local_kemenization_reference(
 
     This is the original implementation: every adjacent pair is evaluated
     with two numpy scalar reads of the precedence matrix per pass.
-    :func:`local_kemenization` must return the identical ranking; the
-    equivalence is enforced by the test suite and the perf benchmark.
+    ``local_search(..., "adjacent-swap")`` must return the identical ranking;
+    the equivalence is enforced by the test suite and the perf benchmark.
     """
     precedence = rankings.precedence_matrix()
     order = initial.to_list()

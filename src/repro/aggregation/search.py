@@ -43,6 +43,13 @@ through a process pool); obtain one with :func:`get_strategy` and run it with
 wrapper.  :class:`~repro.aggregation.local_search.LocalSearchKemenyAggregator`
 accepts ``strategy=...`` and the registry forwards constructor keywords, so
 ``get_aggregator("local-kemeny", strategy="insertion")`` works end to end.
+
+Each schedule is implemented once, here.  A strategy touches the engine only
+through ``n_candidates``, ``sweep_adjacent()``, ``best_move(candidate)`` and
+``apply_move(candidate, target)``, so the fairness-preserving repair
+(:func:`repro.fair.local_repair.fair_local_search`) runs these same classes on
+a view of the engine that filters every swap and block move through
+MANI-Rank feasibility.
 """
 
 from __future__ import annotations
@@ -242,8 +249,9 @@ def local_search(
 ) -> Ranking:
     """Improve ``initial`` with the given neighbourhood strategy.
 
-    Generalises :func:`repro.aggregation.local_search.local_kemenization`
-    (exactly equivalent for the default ``adjacent-swap`` strategy).
+    The default ``adjacent-swap`` strategy is classic local Kemenization,
+    returning the identical ranking to
+    :func:`repro.aggregation.local_search.local_kemenization_reference`.
     """
     engine = KemenyDeltaEngine(rankings, initial)
     get_strategy(strategy).search(engine, max_passes=max_passes)

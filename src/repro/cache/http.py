@@ -23,9 +23,12 @@ A deliberately small HTTP/1.1 server on :func:`asyncio.start_server` — no
     candidate table (inline ``candidates`` or ``candidates_csv``) plus the
     optional ``method``/``strategy``/``delta`` configuration; it initialises
     the server's :class:`~repro.streaming.service.StreamingConsensusService`
-    sharing the batch cache.  Every update patches the profile matrices
+    sharing the batch cache.  Later calls that name a different
+    configuration get a 400.  Every update patches the profile matrices
     incrementally and invalidates the cache entries served for the old
-    profile, keyed on the new profile version.
+    profile, keyed on the new profile version.  A rejected update (400)
+    changes nothing: no ranking is applied, the version is not bumped, and
+    a rejected first call binds no configuration.
 
 ``GET /consensus``
     The streaming profile's consensus — served under the exact batch cache
@@ -84,6 +87,7 @@ import signal
 from collections import OrderedDict
 from collections.abc import Callable
 
+from repro.aggregation.search import get_strategy
 from repro.cache.resilience import (
     AdmissionController,
     AsyncClock,
@@ -92,7 +96,8 @@ from repro.cache.resilience import (
 )
 from repro.cache.service import ConsensusCacheService
 from repro.exceptions import ReproError
-from repro.fair.registry import describe_fair_methods
+from repro.fair.registry import canonical_fair_method_name, describe_fair_methods
+from repro.fairness.thresholds import FairnessThresholds
 from repro.io.csv_io import read_candidate_table, read_ranking_set
 from repro.io.serialization import (
     candidate_table_from_dict,
@@ -572,14 +577,22 @@ class ConsensusHTTPServer:
             )
             return self._streaming
         engine = self._streaming.engine
-        if "method" in body and str(body["method"]) != engine.method:
-            # The registry canonicalises spellings before comparing.
-            from repro.fair.registry import canonical_fair_method_name
-
-            if canonical_fair_method_name(str(body["method"])) != engine.method:
+        # Canonicalise each named setting the way the engine did on the first
+        # call, so only a genuinely different configuration is rejected.
+        bound_settings = (
+            ("method", engine.method, lambda value: canonical_fair_method_name(str(value))),
+            (
+                "strategy",
+                engine.strategy,
+                lambda value: None if value is None else get_strategy(value).name,
+            ),
+            ("delta", engine.thresholds, FairnessThresholds.coerce),
+        )
+        for setting, bound, canonical in bound_settings:
+            if setting in body and canonical(body[setting]) != bound:
                 raise _BadRequest(
-                    f"the streaming profile is configured for method "
-                    f"{engine.method!r}; restart the server to change it"
+                    f"the streaming profile is configured for {setting} "
+                    f"{bound!r}; restart the server to change it"
                 )
         return self._streaming
 
@@ -619,12 +632,20 @@ class ConsensusHTTPServer:
 
     async def _handle_update(self, body: dict) -> dict:
         """``POST /update``: apply one add/remove batch to the streaming profile."""
+        created = self._streaming is None
         streaming = self._streaming_service(body)
-        table = streaming.engine.table
-        add = self._streaming_events(body.get("add", []), table, "add")
-        remove = self._streaming_events(body.get("remove", []), table, "remove")
-        operation = functools.partial(streaming.update, add=add, remove=remove)
-        return await asyncio.get_running_loop().run_in_executor(None, operation)
+        try:
+            table = streaming.engine.table
+            add = self._streaming_events(body.get("add", []), table, "add")
+            remove = self._streaming_events(body.get("remove", []), table, "remove")
+            operation = functools.partial(streaming.update, add=add, remove=remove)
+            return await asyncio.get_running_loop().run_in_executor(None, operation)
+        except Exception:
+            # A rejected first update must not bind its configuration.  The
+            # engine rolled back, so version 0 means no update has landed.
+            if created and self._streaming is streaming and streaming.engine.profile_version == 0:
+                self._streaming = None
+            raise
 
     async def _handle_consensus(self, body: dict) -> dict:
         """``GET /consensus``: the streaming profile's cached consensus."""

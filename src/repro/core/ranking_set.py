@@ -32,8 +32,8 @@ class RankingSet:
         Optional per-ranking labels (e.g. ranker names, exam subjects, or
         years).  Defaults to ``r1, r2, ...``.
     weights:
-        Optional non-negative per-ranking weights used by weighted consensus
-        methods.  Defaults to uniform weight 1.
+        Optional finite, non-negative per-ranking weights used by weighted
+        consensus methods.  Defaults to uniform weight 1.
     """
 
     def __init__(
@@ -76,6 +76,8 @@ class RankingSet:
                     f"weights must have one entry per ranking; got shape "
                     f"{weight_array.shape} for {len(rankings)} rankings"
                 )
+            if not np.isfinite(weight_array).all():
+                raise ValidationError("ranking weights must be finite numbers")
             if (weight_array < 0).any():
                 raise ValidationError("ranking weights must be non-negative")
             if weight_array.sum() == 0:

@@ -12,9 +12,7 @@ from repro.fair.baselines import (
 from repro.fair.fair_kemeny import CONSTRAINT_MODES, FairKemenyAggregator, add_parity_constraints
 from repro.fair.local_repair import (
     FairLocalRepairResult,
-    fair_insertion_kemenization,
     fair_insertion_kemenization_reference,
-    fair_local_kemenization,
     fair_local_kemenization_reference,
     fair_local_search,
 )
@@ -44,9 +42,7 @@ __all__ = [
     "MakeMRFairResult",
     "make_mr_fair_sharded",
     "default_shard_count",
-    "fair_local_kemenization",
     "fair_local_kemenization_reference",
-    "fair_insertion_kemenization",
     "fair_insertion_kemenization_reference",
     "fair_local_search",
     "FairLocalRepairResult",

@@ -2,40 +2,40 @@
 
 Make-MR-Fair moves candidates to satisfy the MANI-Rank criteria, but its swap
 rule optimises parity only — the corrected consensus can leave *free* Kemeny
-improvements on the table: adjacent transpositions that reduce the pairwise
-disagreement with the base rankings while keeping every ARP/IRP score within
-its threshold.  :func:`fair_local_kemenization` harvests exactly those: a
-local-Kemenization bubble pass where a swap is accepted only when
+improvements on the table: moves that reduce the pairwise disagreement with
+the base rankings while keeping every ARP/IRP score within its threshold.
+:func:`fair_local_search` harvests exactly those.  A move is accepted only
+when
 
 1. it strictly reduces the Kemeny objective (the classic Dwork et al. rule),
    *and*
-2. the swapped ranking still satisfies every MANI-Rank threshold.
+2. the moved ranking still satisfies every MANI-Rank threshold.
 
-The result is MANI-Rank feasible by construction, never worse in PD loss than
-the corrected input, and locally optimal among fairness-feasible adjacent
-transpositions.
+The result is MANI-Rank feasible by construction for feasible inputs, never
+worse in PD loss than the corrected input, and locally optimal among the
+fairness-feasible moves of its neighbourhood.
 
-**Performance.**  The main implementation is a client of both incremental
-engines: the Kemeny condition is an O(1) read of
+**One schedule family.**  The repair has no search loop of its own: it runs
+the :mod:`repro.aggregation.search` strategies (``adjacent-swap``,
+``insertion``, ``combined``) unchanged on a fairness-filtered view of the
+Kemeny-delta engine.  The view's adjacent sweep skips swaps that would break
+a threshold, and its best move is the best improving block move whose target
+stays feasible.  So the fair ``insertion`` repair inherits the dominance
+guarantee of the unconstrained schedule (never worse in Kemeny objective
+than the fair ``adjacent-swap`` repair on the same input), and at ``δ = 1``
+every strategy reduces to its unconstrained search.
+``fair-borda-repaired`` / ``fair-borda-insertion`` in the method registry
+are Fair-Borda post-processed with the adjacent / insertion repair.
+
+**Performance.**  The Kemeny condition is an O(1) read (adjacent swap) or an
+O(n) vectorised row score (block move) of
 :class:`repro.aggregation.incremental.KemenyDeltaEngine`'s cached margin
-matrix, and the feasibility condition is an O(sum of group counts) query of
-:class:`repro.fairness.incremental.FairnessState` — no ranking is
-materialised and no parity score recomputed from scratch.  The original
-from-scratch evaluation is retained as
-:func:`fair_local_kemenization_reference`; the property tests assert both
-produce the identical swap sequence and final ranking.
-
-**Neighbourhoods.**  The repair mirrors the strategy family of
-:mod:`repro.aggregation.search`: :func:`fair_insertion_kemenization` runs the
-fairness-filtered variable-neighbourhood descent — fair adjacent passes to
-convergence, then best-improvement block moves whose targets are filtered by
-:meth:`FairnessState.parity_after_move
-<repro.fairness.incremental.FairnessState.parity_after_move>` feasibility,
-looping — so its result is never worse in Kemeny objective than the plain
-adjacent repair on the same input; :func:`fair_local_search` dispatches a
-strategy name (``adjacent-swap`` / ``insertion`` / ``combined``) the same way
-the unconstrained search does.  ``fair-borda-insertion`` in the method
-registry is Fair-Borda post-processed with the insertion repair.
+matrix, and the feasibility condition is an O(window + sum of group counts)
+query of :class:`repro.fairness.incremental.FairnessState` — no ranking is
+materialised and no parity score recomputed from scratch.  The from-scratch
+evaluations are retained as :func:`fair_local_kemenization_reference` and
+:func:`fair_insertion_kemenization_reference`; the property tests assert
+the engine-backed repair makes the identical decisions.
 """
 
 from __future__ import annotations
@@ -58,9 +58,7 @@ from repro.fairness.thresholds import FairnessThresholds
 
 __all__ = [
     "FairLocalRepairResult",
-    "fair_local_kemenization",
     "fair_local_kemenization_reference",
-    "fair_insertion_kemenization",
     "fair_insertion_kemenization_reference",
     "fair_local_search",
 ]
@@ -102,149 +100,73 @@ def _feasible(
     )
 
 
-def _fair_adjacent_pass(
-    engine: KemenyDeltaEngine,
-    fairness: FairnessState,
-    thresholds: FairnessThresholds,
-) -> int:
-    """One fairness-filtered bubble pass; returns the number of accepted swaps."""
-    order = engine.order_list
-    accepted = 0
-    for position in range(engine.n_candidates - 1):
-        upper = order[position]
-        lower = order[position + 1]
-        if engine.margin(upper, lower) <= 0.0:
-            continue
-        if not _feasible(fairness.parity_after_swap(upper, lower), thresholds):
-            continue
-        engine.apply_adjacent_swap(position)
-        fairness.apply_swap(upper, lower)
-        accepted += 1
-    return accepted
+class _FairEngineView:
+    """A :class:`KemenyDeltaEngine` whose moves must stay MANI-Rank feasible.
 
-
-def _fair_insertion_pass(
-    engine: KemenyDeltaEngine,
-    fairness: FairnessState,
-    thresholds: FairnessThresholds,
-) -> int:
-    """One fairness-filtered best-improvement insertion pass.
-
-    For each candidate (id order) the engine scores every target position in
-    one vectorised gather; the improving targets are tried best-first (ties
-    towards the smallest position) and the first MANI-Rank-feasible one is
-    applied.  Returns the number of applied block moves.
+    Provides the engine calls a
+    :class:`~repro.aggregation.search.NeighborhoodStrategy` makes
+    (``n_candidates``, ``sweep_adjacent``, ``best_move``, ``apply_move``),
+    each filtered through a :class:`FairnessState`, so the fair repair runs
+    the unconstrained strategies' schedules unchanged.  ``n_swaps`` counts
+    the adjacent swaps the sweeps accepted.
     """
-    moved = 0
-    for candidate in range(engine.n_candidates):
-        deltas = engine.move_deltas(candidate)
-        improving = np.flatnonzero(deltas < 0.0)
-        if improving.size == 0:
-            continue
-        ranked = improving[np.lexsort((improving, deltas[improving]))]
-        for target in ranked:
-            target = int(target)
-            if not _feasible(fairness.parity_after_move(candidate, target), thresholds):
+
+    def __init__(
+        self,
+        engine: KemenyDeltaEngine,
+        fairness: FairnessState,
+        thresholds: FairnessThresholds,
+    ) -> None:
+        self._engine = engine
+        self._fairness = fairness
+        self._thresholds = thresholds
+        self.n_candidates = engine.n_candidates
+        self.n_swaps = 0
+
+    def sweep_adjacent(self) -> bool:
+        """One fairness-filtered bubble pass; ``True`` if it swapped."""
+        engine = self._engine
+        fairness = self._fairness
+        thresholds = self._thresholds
+        order = engine.order_list
+        accepted = 0
+        for position in range(self.n_candidates - 1):
+            upper = order[position]
+            lower = order[position + 1]
+            if engine.margin(upper, lower) <= 0.0:
                 continue
-            engine.apply_move(candidate, target)
-            fairness.apply_move(candidate, target)
-            moved += 1
-            break
-    return moved
+            if not _feasible(fairness.parity_after_swap(upper, lower), thresholds):
+                continue
+            engine.apply_adjacent_swap(position)
+            fairness.apply_swap(upper, lower)
+            accepted += 1
+        self.n_swaps += accepted
+        return accepted > 0
 
+    def best_move(self, candidate: int) -> tuple[float, int]:
+        """Best improving MANI-Rank-feasible target for ``candidate``.
 
-def fair_local_kemenization(
-    rankings: RankingSet,
-    ranking: Ranking,
-    table: CandidateTable,
-    delta: FairnessThresholds | float | Mapping[str, float],
-    max_passes: int = 50,
-) -> FairLocalRepairResult:
-    """Locally improve the Kemeny objective without leaving the fair region.
+        The engine scores every target position in one vectorised gather;
+        the improving targets are tried best-first (ties towards the smallest
+        position) and the first feasible one is returned.  Returns
+        ``(0.0, current position)`` when no feasible target improves.
+        """
+        deltas = self._engine.move_deltas(candidate)
+        improving = np.flatnonzero(deltas < 0.0)
+        if improving.size:
+            for target in improving[np.lexsort((improving, deltas[improving]))]:
+                target = int(target)
+                if _feasible(
+                    self._fairness.parity_after_move(candidate, target), self._thresholds
+                ):
+                    return float(deltas[target]), target
+        return 0.0, self._engine.positions_list[candidate]
 
-    Bubble passes over the ranking accept an adjacent swap only when it both
-    strictly reduces the Kemeny objective and keeps every MANI-Rank parity
-    score within its threshold (same tolerance as ``mani_rank_satisfied``).
-    Identical swap decisions to :func:`fair_local_kemenization_reference`.
-
-    The input is typically a Make-MR-Fair correction; an infeasible input is
-    allowed (the repair simply has no feasible swaps to accept unless a swap
-    lands inside the fair region).
-    """
-    _check_universe(ranking, table)
-    thresholds = FairnessThresholds.coerce(delta)
-    engine = KemenyDeltaEngine(rankings, ranking)
-    fairness = FairnessState(ranking, table)
-    n_swaps = 0
-    n_passes = 0
-    for _ in range(max_passes):
-        accepted = _fair_adjacent_pass(engine, fairness, thresholds)
-        if accepted == 0:
-            break
-        n_swaps += accepted
-        n_passes += 1
-    return FairLocalRepairResult(
-        ranking=engine.to_ranking(),
-        n_swaps=n_swaps,
-        n_passes=n_passes,
-        objective=engine.objective,
-    )
-
-
-def fair_insertion_kemenization(
-    rankings: RankingSet,
-    ranking: Ranking,
-    table: CandidateTable,
-    delta: FairnessThresholds | float | Mapping[str, float],
-    max_passes: int = 50,
-) -> FairLocalRepairResult:
-    """Fairness-constrained insertion (block-move) local Kemeny repair.
-
-    The fairness-filtered mirror of
-    :class:`repro.aggregation.search.InsertionStrategy`'s variable-
-    neighbourhood descent, with the same pass accounting: fair adjacent
-    passes until converged, then one best-improvement insertion pass whose
-    moves must keep every MANI-Rank parity score within its threshold
-    (infeasible targets are skipped in favour of the next-best improving
-    one), looping until no feasible insertion move remains or the budget
-    runs out.  Because the first phase is exactly
-    :func:`fair_local_kemenization` and every later move strictly improves
-    the objective, the result is never worse in Kemeny objective (and hence
-    PD loss against the base rankings) than the adjacent-only repair —
-    while staying MANI-Rank feasible by construction for feasible inputs.
-
-    Identical move decisions to
-    :func:`fair_insertion_kemenization_reference` (enforced by the property
-    tests).
-    """
-    _check_universe(ranking, table)
-    thresholds = FairnessThresholds.coerce(delta)
-    engine = KemenyDeltaEngine(rankings, ranking)
-    fairness = FairnessState(ranking, table)
-    n_swaps = 0
-    n_moves = 0
-    n_passes = 0
-    while True:
-        while n_passes < max_passes:
-            accepted = _fair_adjacent_pass(engine, fairness, thresholds)
-            if accepted == 0:
-                break
-            n_swaps += accepted
-            n_passes += 1
-        if n_passes >= max_passes:
-            break
-        moved = _fair_insertion_pass(engine, fairness, thresholds)
-        if moved == 0:
-            break
-        n_moves += moved
-        n_passes += 1
-    return FairLocalRepairResult(
-        ranking=engine.to_ranking(),
-        n_swaps=n_swaps,
-        n_passes=n_passes,
-        objective=engine.objective,
-        n_moves=n_moves,
-    )
+    def apply_move(self, candidate: int, new_position: int) -> float:
+        """Move ``candidate`` in both engines; return the objective delta."""
+        delta = self._engine.apply_move(candidate, new_position)
+        self._fairness.apply_move(candidate, new_position)
+        return delta
 
 
 def fair_local_search(
@@ -255,50 +177,35 @@ def fair_local_search(
     strategy: str = "adjacent-swap",
     max_passes: int = 50,
 ) -> FairLocalRepairResult:
-    """Fairness-preserving repair with a pluggable neighbourhood strategy.
+    """Fairness-preserving local Kemeny repair with a pluggable neighbourhood.
 
-    Accepts the same strategy names as
-    :func:`repro.aggregation.search.get_strategy`: ``adjacent-swap`` runs
-    :func:`fair_local_kemenization`, ``insertion`` runs
-    :func:`fair_insertion_kemenization`, and ``combined`` runs greedy
-    fairness-filtered insertion passes from the raw input followed by a
-    final adjacent polish (the mirror of
-    :class:`repro.aggregation.search.CombinedStrategy`).
+    Runs the named :mod:`repro.aggregation.search` strategy (``adjacent-swap``,
+    ``insertion`` or ``combined``) on a fairness-filtered view of the
+    Kemeny-delta engine: an adjacent swap or block move is accepted only when
+    it strictly reduces the Kemeny objective and keeps every MANI-Rank parity
+    score within its threshold (same tolerance as ``mani_rank_satisfied``).
+    Infeasible block-move targets are skipped in favour of the next-best
+    improving one.  Identical decisions to
+    :func:`fair_local_kemenization_reference` (``adjacent-swap``) and
+    :func:`fair_insertion_kemenization_reference` (``insertion``).
+
+    The input is typically a Make-MR-Fair correction; an infeasible input is
+    allowed (the repair then accepts only moves that land inside the fair
+    region).  ``n_moves`` is ``None`` for ``adjacent-swap``.
     """
-    name = get_strategy(strategy).name
-    if name == "adjacent-swap":
-        return fair_local_kemenization(
-            rankings, ranking, table, delta, max_passes=max_passes
-        )
-    if name == "insertion":
-        return fair_insertion_kemenization(
-            rankings, ranking, table, delta, max_passes=max_passes
-        )
+    search = get_strategy(strategy)
     _check_universe(ranking, table)
-    thresholds = FairnessThresholds.coerce(delta)
     engine = KemenyDeltaEngine(rankings, ranking)
-    fairness = FairnessState(ranking, table)
-    n_moves = 0
-    n_passes = 0
-    for _ in range(max_passes):
-        moved = _fair_insertion_pass(engine, fairness, thresholds)
-        if moved == 0:
-            break
-        n_moves += moved
-        n_passes += 1
-    n_swaps = 0
-    for _ in range(max_passes):
-        accepted = _fair_adjacent_pass(engine, fairness, thresholds)
-        if accepted == 0:
-            break
-        n_swaps += accepted
-        n_passes += 1
+    view = _FairEngineView(
+        engine, FairnessState(ranking, table), FairnessThresholds.coerce(delta)
+    )
+    stats = search.search(view, max_passes=max_passes)  # type: ignore[arg-type]
     return FairLocalRepairResult(
         ranking=engine.to_ranking(),
-        n_swaps=n_swaps,
-        n_passes=n_passes,
+        n_swaps=view.n_swaps,
+        n_passes=stats.n_passes,
         objective=engine.objective,
-        n_moves=n_moves,
+        n_moves=stats.n_moves,
     )
 
 
@@ -315,8 +222,9 @@ def fair_local_kemenization_reference(
     it with :func:`repro.fairness.parity.parity_scores`, and the final
     objective is recomputed with :func:`kemeny_objective` — one evaluated
     swap costs O(n * sum of group counts) instead of the engines' O(1) +
-    O(sum of group counts).  :func:`fair_local_kemenization` must produce the
-    identical swap sequence and final ranking (enforced by the test suite).
+    O(sum of group counts).  ``fair_local_search(strategy="adjacent-swap")``
+    must produce the identical swap sequence and final ranking (enforced by
+    the test suite).
     """
     _check_universe(ranking, table)
     thresholds = FairnessThresholds.coerce(delta)
@@ -371,9 +279,10 @@ def fair_insertion_kemenization_reference(
     """From-scratch fairness-constrained insertion repair (ground truth).
 
     The same variable-neighbourhood descent as
-    :func:`fair_insertion_kemenization` with every quantity recomputed from
-    scratch: adjacent passes materialise each swapped ranking and rescore it
-    with :func:`repro.fairness.parity.parity_scores`; insertion passes score
+    ``fair_local_search(strategy="insertion")`` with every quantity
+    recomputed from scratch: adjacent passes materialise each swapped ranking
+    and rescore it with :func:`repro.fairness.parity.parity_scores`;
+    insertion passes score
     every target of a candidate by materialising the moved ranking and
     recomputing :func:`kemeny_objective`, sort the improving targets by
     ``(delta, position)`` — matching the engine's best-first ``argmin``

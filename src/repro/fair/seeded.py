@@ -11,16 +11,15 @@ local-search heuristics) can be made fairness-aware; the three named classes
 are the paper's methods.
 
 With ``local_repair=True`` the correction is post-processed by
-:func:`repro.fair.local_repair.fair_local_kemenization` — a
-fairness-preserving local Kemenization that harvests the adjacent swaps which
-reduce the Kemeny objective without leaving the MANI-Rank-feasible region
-(an extension beyond the paper; runs on the incremental Kemeny-delta and
-fairness engines, so the extra cost is one bubble-pass loop).  Passing a
-strategy name instead of ``True`` (``"adjacent-swap"``, ``"insertion"``,
-``"combined"``) selects the repair neighbourhood via
-:func:`repro.fair.local_repair.fair_local_search`; ``"insertion"`` adds
-fairness-filtered block moves and never recovers less Kemeny objective than
-the adjacent repair.
+:func:`repro.fair.local_repair.fair_local_search` — a fairness-preserving
+local Kemenization that harvests the adjacent swaps which reduce the Kemeny
+objective without leaving the MANI-Rank-feasible region (an extension beyond
+the paper; runs on the incremental Kemeny-delta and fairness engines, so the
+extra cost is one bubble-pass loop).  Passing a strategy name instead of
+``True`` (``"adjacent-swap"``, ``"insertion"``, ``"combined"``) selects the
+schedule from :mod:`repro.aggregation.search` that the repair runs on its
+fairness-filtered engine view; ``"insertion"`` adds fairness-filtered block
+moves and never recovers less Kemeny objective than the adjacent repair.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class SeededFairAggregator(FairRankAggregator):
     local_repair:
         When ``True``, follow the Make-MR-Fair correction with a
         fairness-preserving local Kemenization
-        (:func:`repro.fair.local_repair.fair_local_kemenization`) that
+        (:func:`repro.fair.local_repair.fair_local_search`) that
         recovers Kemeny objective (and hence PD loss) without violating the
         thresholds.  A strategy name (``"adjacent-swap"``, ``"insertion"``,
         ``"combined"``) selects the repair neighbourhood instead; ``False``

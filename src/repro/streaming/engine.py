@@ -31,7 +31,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -210,6 +211,23 @@ class StreamingConsensusEngine:
     # ------------------------------------------------------------------
     # incremental updates
     # ------------------------------------------------------------------
+    @contextmanager
+    def atomic(self) -> Iterator[None]:
+        """Restore the profile as it was on entry if the block raises.
+
+        Makes a multi-batch update (adds, then removes) all-or-nothing: a
+        rejected batch leaves the rankings, the fingerprint and the profile
+        version exactly as they were.  The cached matrices need no undo —
+        every update builds a new :class:`RankingSet` and the old one is
+        kept unchanged.
+        """
+        saved = (self._set, list(self._tokens), self._version)
+        try:
+            yield
+        except BaseException:
+            self._set, self._tokens, self._version = saved
+            raise
+
     def add_rankings(
         self,
         orders: Sequence[Ranking | Sequence[int]],

@@ -8,10 +8,11 @@
   batch cache key — the engine's incrementally-maintained fingerprint slots
   straight into :class:`~repro.cache.fingerprint.CacheKey`, so a streamed
   result and a batch result for the same profile share one content address.
-* :meth:`update` applies an add/remove batch and then *invalidates* every
-  cache entry served for the old profile, recording the new profile version
-  in the cache stats (``invalidations`` / ``profile_version`` counters) so
-  dashboards can distinguish invalidation from LRU eviction.
+* :meth:`update` applies an add/remove batch atomically and then
+  *invalidates* every cache entry served for the old profile, recording the
+  new profile version in the cache stats (``invalidations`` /
+  ``profile_version`` counters) so dashboards can distinguish invalidation
+  from LRU eviction.
 
 All entry points are serialised behind one lock: the HTTP front-end calls
 into the service from an executor thread per request.
@@ -88,26 +89,29 @@ class StreamingConsensusService:
         ``add`` and ``remove`` are :class:`StreamEvent` sequences (the ``op``
         field is ignored here; membership in the batch decides the
         direction).  Adds are applied before removes, so a batch may submit
-        and retract within one call.  Every cache entry served for the
-        previous profile is invalidated, keyed on the new profile version.
+        and retract within one call.  The update is atomic: if any add or
+        remove is rejected, nothing is applied and the profile version is
+        unchanged.  Every cache entry served for the previous profile is
+        invalidated, keyed on the new profile version.
         """
         if not add and not remove:
             raise ValidationError(
                 "an update must add or remove at least one ranking"
             )
         with self._lock:
-            if add:
-                labels = [event.label for event in add]
-                self._engine.add_rankings(
-                    [list(event.order) for event in add],
-                    weights=[event.weight for event in add],
-                    labels=labels if any(label is not None for label in labels) else None,
-                )
-            if remove:
-                self._engine.remove_rankings(
-                    [list(event.order) for event in remove],
-                    weights=[event.weight for event in remove],
-                )
+            with self._engine.atomic():
+                if add:
+                    labels = [event.label for event in add]
+                    self._engine.add_rankings(
+                        [list(event.order) for event in add],
+                        weights=[event.weight for event in add],
+                        labels=labels if any(label is not None for label in labels) else None,
+                    )
+                if remove:
+                    self._engine.remove_rankings(
+                        [list(event.order) for event in remove],
+                        weights=[event.weight for event in remove],
+                    )
             invalidated = self._cache.invalidate(
                 self._live, profile_version=self._engine.profile_version
             )

@@ -4,7 +4,7 @@ The engine's contract is *exact* equivalence with the from-scratch
 evaluators: after any sequence of adjacent swaps, general swaps, block moves,
 and bubble passes, the running objective must be bit-identical to recomputing
 :func:`repro.core.distances.kemeny_objective` on the materialised ranking,
-and the engine-backed :func:`local_kemenization` must return the identical
+and the engine-backed adjacent-swap search must return the identical
 ranking to the retained from-scratch reference.  These tests drive randomized
 move sequences through both paths and compare — the same pattern as
 ``tests/fairness/test_incremental.py`` for the fairness engine.
@@ -18,10 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.incremental import KemenyDeltaEngine
-from repro.aggregation.local_search import (
-    local_kemenization,
-    local_kemenization_reference,
-)
+from repro.aggregation.local_search import local_kemenization_reference
+from repro.aggregation.search import local_search
 from repro.core.distances import kemeny_objective
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
@@ -244,8 +242,8 @@ class TestMoveSequences:
         rankings = _random_set(rng, n, int(rng.integers(1, 10)))
         initial = Ranking.random(n, rng)
         for max_passes in (0, 1, 2, 5, 50):
-            assert local_kemenization(
-                rankings, initial, max_passes=max_passes
+            assert local_search(
+                rankings, initial, "adjacent-swap", max_passes=max_passes
             ) == local_kemenization_reference(
                 rankings, initial, max_passes=max_passes
             )

@@ -13,14 +13,20 @@ import pytest
 
 from repro.aggregation.local_search import (
     LocalSearchKemenyAggregator,
-    local_kemenization,
     local_kemenization_reference,
 )
+from repro.aggregation.search import local_search
 from repro.core.distances import kemeny_objective
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
 
-IMPLEMENTATIONS = [local_kemenization, local_kemenization_reference]
+
+def _adjacent_local_search(rankings, initial, max_passes=50):
+    """The engine-backed adjacent-swap schedule, shaped like the reference."""
+    return local_search(rankings, initial, "adjacent-swap", max_passes=max_passes)
+
+
+IMPLEMENTATIONS = [_adjacent_local_search, local_kemenization_reference]
 
 
 @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)

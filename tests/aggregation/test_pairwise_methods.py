@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aggregation.copeland import CopelandAggregator, copeland_scores
-from repro.aggregation.local_search import LocalSearchKemenyAggregator, local_kemenization
+from repro.aggregation.local_search import LocalSearchKemenyAggregator
+from repro.aggregation.search import local_search
 from repro.aggregation.pick_a_perm import PickAPermAggregator
 from repro.aggregation.schulze import SchulzeAggregator, schulze_scores, strongest_paths
 from repro.core.distances import kemeny_objective, kendall_tau
@@ -102,13 +103,13 @@ class TestPickAPerm:
 class TestLocalKemenization:
     def test_never_increases_kemeny_objective(self, tiny_rankings):
         seed = Ranking([5, 4, 3, 2, 1, 0])
-        improved = local_kemenization(tiny_rankings, seed)
+        improved = local_search(tiny_rankings, seed)
         assert kemeny_objective(improved, tiny_rankings) <= kemeny_objective(
             seed, tiny_rankings
         )
 
     def test_local_optimality_under_adjacent_swaps(self, tiny_rankings):
-        improved = local_kemenization(tiny_rankings, Ranking.identity(6))
+        improved = local_search(tiny_rankings, Ranking.identity(6))
         objective = kemeny_objective(improved, tiny_rankings)
         for position in range(5):
             swapped = improved.swap(

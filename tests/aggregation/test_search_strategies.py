@@ -29,7 +29,6 @@ from repro.aggregation import get_aggregator
 from repro.aggregation.incremental import KemenyDeltaEngine
 from repro.aggregation.local_search import (
     LocalSearchKemenyAggregator,
-    local_kemenization,
     local_kemenization_reference,
 )
 from repro.aggregation.search import (
@@ -111,7 +110,7 @@ class TestEquivalence:
 
     def test_default_strategy_is_local_kemenization(self, tiny_rankings):
         initial = Ranking([5, 4, 3, 2, 1, 0])
-        assert local_search(tiny_rankings, initial) == local_kemenization(
+        assert local_search(tiny_rankings, initial) == local_kemenization_reference(
             tiny_rankings, initial
         )
 

@@ -192,6 +192,20 @@ class TestErrors:
         assert status == 400
         assert "unknown fair consensus method" in payload["error"]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_ranking_weight_is_400(self, query_body, bad):
+        rankings = dict(query_body["rankings"])
+        rankings["weights"] = [bad] + rankings["weights"][1:]
+
+        async def scenario(host, port):
+            return await http_request(
+                host, port, "POST", "/aggregate", {**query_body, "rankings": rankings}
+            )
+
+        (status, payload), _ = with_server(scenario)
+        assert status == 400
+        assert "finite" in payload["error"]
+
     def test_out_of_range_delta_is_400(self, query_body):
         async def scenario(host, port):
             return await http_request(

@@ -49,6 +49,14 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             RankingSet([ranking], weights=[1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weights_rejected(self, bad):
+        ranking = Ranking([0, 1])
+        with pytest.raises(ValidationError, match="finite"):
+            RankingSet([ranking, ranking], weights=[1.0, bad])
+        with pytest.raises(ValidationError, match="finite"):
+            RankingSet([ranking]).with_added([ranking], weights=[bad])
+
     def test_from_score_columns(self):
         rankings = RankingSet.from_score_columns(
             {"math": [1.0, 3.0, 2.0], "reading": [3.0, 2.0, 1.0]}

@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aggregation.incremental import KemenyDeltaEngine
+from repro.aggregation.search import available_strategies, get_strategy
 from repro.core.candidates import CandidateTable
 from repro.core.distances import kemeny_objective
 from repro.core.ranking import Ranking
 from repro.core.ranking_set import RankingSet
 from repro.exceptions import AggregationError
 from repro.fair.local_repair import (
-    fair_insertion_kemenization,
     fair_insertion_kemenization_reference,
-    fair_local_kemenization,
     fair_local_kemenization_reference,
     fair_local_search,
 )
@@ -59,7 +59,7 @@ class TestEquivalenceWithReference:
             # The random group structure can make delta infeasible; the
             # repair contract only concerns feasible inputs.
             return
-        fast = fair_local_kemenization(rankings, corrected, table, delta)
+        fast = fair_local_search(rankings, corrected, table, delta)
         reference = fair_local_kemenization_reference(
             rankings, corrected, table, delta
         )
@@ -78,7 +78,7 @@ class TestRepairGuarantees:
             small_dataset.table,
             delta,
         ).ranking
-        repaired = fair_local_kemenization(
+        repaired = fair_local_search(
             small_dataset.rankings, corrected, small_dataset.table, delta
         )
         assert mani_rank_satisfied(repaired.ranking, small_dataset.table, delta)
@@ -93,11 +93,11 @@ class TestRepairGuarantees:
             small_dataset.table,
             delta,
         ).ranking
-        first = fair_local_kemenization(
+        first = fair_local_search(
             small_dataset.rankings, corrected, small_dataset.table, delta
         )
         # A repaired ranking is a fixed point of the repair.
-        second = fair_local_kemenization(
+        second = fair_local_search(
             small_dataset.rankings, first.ranking, small_dataset.table, delta
         )
         assert second.ranking == first.ranking
@@ -105,7 +105,7 @@ class TestRepairGuarantees:
 
     def test_zero_pass_budget_returns_input(self, small_dataset):
         ranking = Ranking.identity(small_dataset.table.n_candidates)
-        result = fair_local_kemenization(
+        result = fair_local_search(
             small_dataset.rankings, ranking, small_dataset.table, 1.0, max_passes=0
         )
         assert result.ranking == ranking
@@ -113,22 +113,30 @@ class TestRepairGuarantees:
 
     def test_universe_mismatch_rejected(self, small_dataset):
         with pytest.raises(AggregationError):
-            fair_local_kemenization(
+            fair_local_search(
                 small_dataset.rankings, Ranking([0, 1]), small_dataset.table, 0.2
             )
 
-    def test_trivial_threshold_reduces_to_local_kemenization(self, small_dataset):
-        # With delta = 1 every ranking is feasible, so the repair must equal
-        # plain local Kemenization.
-        from repro.aggregation.local_search import local_kemenization
 
+class TestTrivialThreshold:
+    @pytest.mark.parametrize("strategy", available_strategies())
+    def test_reduces_to_unconstrained_search(self, small_dataset, strategy):
+        # With delta = 1 every ranking is feasible, so the fair repair must
+        # take the unconstrained search's exact trajectory.
         initial = Ranking.identity(small_dataset.table.n_candidates)
-        repaired = fair_local_kemenization(
-            small_dataset.rankings, initial, small_dataset.table, 1.0
+        repaired = fair_local_search(
+            small_dataset.rankings,
+            initial,
+            small_dataset.table,
+            1.0,
+            strategy=strategy,
         )
-        assert repaired.ranking == local_kemenization(
-            small_dataset.rankings, initial
-        )
+        engine = KemenyDeltaEngine(small_dataset.rankings, initial)
+        stats = get_strategy(strategy).search(engine)
+        assert repaired.ranking == engine.to_ranking()
+        assert repaired.n_passes == stats.n_passes
+        assert repaired.n_moves == stats.n_moves
+        assert repaired.objective == engine.objective
 
 
 class TestSeededWiring:
@@ -172,7 +180,9 @@ class TestInsertionRepair:
             corrected = make_mr_fair(Ranking.random(n, rng), table, delta).ranking
         except AggregationError:
             return
-        fast = fair_insertion_kemenization(rankings, corrected, table, delta)
+        fast = fair_local_search(
+            rankings, corrected, table, delta, strategy="insertion"
+        )
         reference = fair_insertion_kemenization_reference(
             rankings, corrected, table, delta
         )
@@ -195,15 +205,22 @@ class TestInsertionRepair:
             corrected = make_mr_fair(Ranking.random(n, rng), table, delta).ranking
         except AggregationError:
             return
-        adjacent = fair_local_kemenization(rankings, corrected, table, delta)
-        insertion = fair_insertion_kemenization(rankings, corrected, table, delta)
+        adjacent = fair_local_search(rankings, corrected, table, delta)
+        insertion = fair_local_search(
+            rankings, corrected, table, delta, strategy="insertion"
+        )
         assert insertion.objective <= adjacent.objective
         assert mani_rank_satisfied(insertion.ranking, table, delta)
 
     def test_zero_pass_budget_returns_input(self, small_dataset):
         ranking = Ranking.identity(small_dataset.table.n_candidates)
-        result = fair_insertion_kemenization(
-            small_dataset.rankings, ranking, small_dataset.table, 1.0, max_passes=0
+        result = fair_local_search(
+            small_dataset.rankings,
+            ranking,
+            small_dataset.table,
+            1.0,
+            strategy="insertion",
+            max_passes=0,
         )
         assert result.ranking == ranking
         assert result.n_swaps == 0
@@ -216,55 +233,26 @@ class TestInsertionRepair:
             small_dataset.table,
             delta,
         ).ranking
-        first = fair_insertion_kemenization(
-            small_dataset.rankings, corrected, small_dataset.table, delta
+        first = fair_local_search(
+            small_dataset.rankings,
+            corrected,
+            small_dataset.table,
+            delta,
+            strategy="insertion",
         )
-        second = fair_insertion_kemenization(
-            small_dataset.rankings, first.ranking, small_dataset.table, delta
+        second = fair_local_search(
+            small_dataset.rankings,
+            first.ranking,
+            small_dataset.table,
+            delta,
+            strategy="insertion",
         )
         assert second.ranking == first.ranking
         assert second.n_swaps == 0
         assert second.n_moves == 0
 
-    def test_trivial_threshold_reduces_to_insertion_search(self, small_dataset):
-        # With delta = 1 every ranking is feasible, so the fair insertion
-        # repair must equal the unconstrained insertion local search.
-        from repro.aggregation.search import local_search
-
-        initial = Ranking.identity(small_dataset.table.n_candidates)
-        repaired = fair_insertion_kemenization(
-            small_dataset.rankings, initial, small_dataset.table, 1.0
-        )
-        assert repaired.ranking == local_search(
-            small_dataset.rankings, initial, strategy="insertion"
-        )
-
 
 class TestFairLocalSearchDispatch:
-    def test_adjacent_swap_dispatches_to_local_kemenization(self, small_dataset):
-        initial = Ranking.identity(small_dataset.table.n_candidates)
-        via_dispatch = fair_local_search(
-            small_dataset.rankings, initial, small_dataset.table, 0.3
-        )
-        direct = fair_local_kemenization(
-            small_dataset.rankings, initial, small_dataset.table, 0.3
-        )
-        assert via_dispatch == direct
-
-    def test_insertion_dispatches_to_insertion_repair(self, small_dataset):
-        initial = Ranking.identity(small_dataset.table.n_candidates)
-        via_dispatch = fair_local_search(
-            small_dataset.rankings,
-            initial,
-            small_dataset.table,
-            0.3,
-            strategy="insertion",
-        )
-        direct = fair_insertion_kemenization(
-            small_dataset.rankings, initial, small_dataset.table, 0.3
-        )
-        assert via_dispatch == direct
-
     def test_combined_preserves_feasibility_and_objective(self, small_dataset):
         delta = 0.2
         corrected = make_mr_fair(

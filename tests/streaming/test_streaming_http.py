@@ -9,7 +9,7 @@ import pytest
 
 from repro.cache.http import ConsensusHTTPServer
 from repro.cache.service import ConsensusCacheService
-from repro.io.serialization import candidate_table_to_dict, ranking_set_to_dict
+from repro.io.serialization import candidate_table_to_dict
 
 DELTA = 0.35
 
@@ -155,3 +155,95 @@ class TestStreamingEndpoints:
         status, payload = with_server(scenario)
         assert status == 200
         assert payload["streaming"] is None
+
+
+class TestUpdateContract:
+    def test_rejected_update_changes_nothing(self, first_update):
+        async def scenario(host, port):
+            await http_request(host, port, "POST", "/update", first_update)
+            rejected = await http_request(
+                host,
+                port,
+                "POST",
+                "/update",
+                {
+                    "add": [{"ranking": RANKING_B}],
+                    "remove": [{"ranking": RANKING_B, "weight": 3}],
+                },
+            )
+            stats = await http_request(host, port, "GET", "/stats")
+            return rejected, stats
+
+        rejected, stats = with_server(scenario)
+        assert rejected[0] == 400
+        assert stats[1]["streaming"]["n_rankings"] == 2
+        assert stats[1]["streaming"]["profile_version"] == 1
+
+    def test_rejected_first_update_binds_no_configuration(self, first_update):
+        async def scenario(host, port):
+            rejected = await http_request(
+                host,
+                port,
+                "POST",
+                "/update",
+                {
+                    **first_update,
+                    "method": "fair-copeland",
+                    "delta": 0.5,
+                    "remove": [{"ranking": RANKING_B}],
+                },
+            )
+            unbound = await http_request(host, port, "GET", "/stats")
+            accepted = await http_request(host, port, "POST", "/update", first_update)
+            bound = await http_request(host, port, "GET", "/stats")
+            return rejected, unbound, accepted, bound
+
+        rejected, unbound, accepted, bound = with_server(scenario)
+        assert rejected[0] == 400
+        assert unbound[1]["streaming"] is None
+        assert accepted[0] == 200
+        streaming = bound[1]["streaming"]
+        assert streaming["method"] == "fair-borda"
+        assert streaming["delta"]["default"] == DELTA
+        assert streaming["n_rankings"] == 2 and streaming["profile_version"] == 1
+
+    @pytest.mark.parametrize(
+        "setting", [{"strategy": "insertion"}, {"delta": 0.2}, {"method": "fair-schulze"}]
+    )
+    def test_contradicting_configuration_is_rejected(self, first_update, setting):
+        async def scenario(host, port):
+            await http_request(host, port, "POST", "/update", first_update)
+            contradicting = await http_request(
+                host, port, "POST", "/update", {"add": [RANKING_B], **setting}
+            )
+            restated = await http_request(
+                host,
+                port,
+                "POST",
+                "/update",
+                {"add": [RANKING_B], "method": "fair-borda", "strategy": None, "delta": DELTA},
+            )
+            stats = await http_request(host, port, "GET", "/stats")
+            return contradicting, restated, stats
+
+        contradicting, restated, stats = with_server(scenario)
+        assert contradicting[0] == 400
+        assert next(iter(setting)) in contradicting[1]["error"]
+        assert restated[0] == 200
+        assert stats[1]["streaming"]["n_rankings"] == 3
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_is_a_client_error(self, first_update, bad):
+        async def scenario(host, port):
+            await http_request(host, port, "POST", "/update", first_update)
+            rejected = await http_request(
+                host, port, "POST", "/update", {"add": [{"ranking": RANKING_B, "weight": bad}]}
+            )
+            stats = await http_request(host, port, "GET", "/stats")
+            return rejected, stats
+
+        rejected, stats = with_server(scenario)
+        assert rejected[0] == 400
+        assert "finite" in rejected[1]["error"]
+        assert stats[1]["streaming"]["n_rankings"] == 2
+        assert stats[1]["streaming"]["profile_version"] == 1

@@ -88,3 +88,33 @@ class TestService:
         assert after["n_rankings"] == 1
         assert after["profile_version"] == 1
         assert after["method"] == "fair-borda"
+
+
+class TestAtomicUpdate:
+    def test_rejected_remove_undoes_the_batch_adds(self, streaming, rng):
+        kept = event(rng)
+        streaming.update(add=[kept])
+        before = streaming.describe()
+        live = streaming.engine.rankings
+        absent = StreamEvent(op="remove", order=kept.order, weight=2.0)
+        with pytest.raises(ValidationError, match="no ranking"):
+            streaming.update(add=[event(rng), event(rng)], remove=[absent])
+        assert streaming.describe() == before
+        assert streaming.engine.rankings is live
+        # The restored profile keeps serving and updating normally.
+        assert streaming.update(remove=[kept])["n_rankings"] == 0
+
+    def test_rejected_first_batch_leaves_the_profile_empty(self, streaming, rng):
+        before = streaming.describe()
+        with pytest.raises(ValidationError):
+            streaming.update(add=[event(rng)], remove=[event(rng, weight=3.0)])
+        assert streaming.describe() == before
+        assert streaming.engine.is_empty
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_is_rejected(self, streaming, rng, bad):
+        streaming.update(add=[event(rng)])
+        before = streaming.describe()
+        with pytest.raises(ValidationError, match="finite"):
+            streaming.update(add=[event(rng), event(rng, weight=bad)])
+        assert streaming.describe() == before
